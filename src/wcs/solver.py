@@ -4,12 +4,18 @@ solve_weighted_bp handles the equality-constrained program, and
 solve_weighted_bpdn the noisy variant with an l2 ball constraint. Both run
 the same operator-splitting loop: a weighted complex soft-threshold step
 alternating with an exact Euclidean projection onto the constraint set,
-computed from a single SVD of the sensing matrix. Initialization is fixed
-at zero and the scheme is deterministic.
+computed from a single SVD of the sensing matrix. For a positive noise
+radius the projection's Lagrange multiplier solves a scalar secular
+equation; a safeguarded Newton iteration finds it, warm-started from the
+previous iteration's multiplier, with brentq on the held bracket as the
+fallback. Initialization is fixed at zero and the scheme is deterministic.
+The outcome's diagnostics count the secular-equation evaluations and the
+fallbacks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -31,6 +37,8 @@ __all__ = [
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 class InfeasibleProblemError(ValueError):
@@ -95,11 +103,16 @@ def complex_soft_threshold(z, tau) -> np.ndarray:
     tau = np.broadcast_to(np.asarray(tau, dtype=float), z.shape)
     if np.any(tau < 0):
         raise ValueError("thresholds must be nonnegative")
+    return _shrink(z, tau)
+
+
+def _shrink(z: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """complex_soft_threshold without its checks; tau must be nonnegative."""
     mag = np.abs(z)
     keep = mag > tau
-    scale = np.zeros(z.shape)
-    np.divide(tau, mag, out=scale, where=keep)
-    return np.where(keep, (1.0 - scale) * z, 0.0 * z)
+    # where nothing is kept the factor is 1 - 1 = 0, so the entry becomes 0 * z
+    scale = np.divide(tau, mag, out=np.ones(mag.shape), where=keep)
+    return (1.0 - scale) * z
 
 
 def _as_matrix_array(A) -> np.ndarray:
@@ -114,20 +127,30 @@ class _ConstraintProjector:
     """Exact projection onto {z : ||Az - y||_2 <= eps} from one SVD of A.
 
     Corrections live in the row space; the radial part reduces to a scalar
-    root find on the Lagrange multiplier. eps = 0 degenerates to the affine
-    projection onto {Az = y}.
+    root find on the Lagrange multiplier lam of the secular equation
+    ||r(lam)|| = eps_eff with r_i(lam) = b_i / (1 + lam s_i^2). eps = 0
+    degenerates to the affine projection onto {Az = y}.
+
+    The root find is a safeguarded Newton iteration on the concave, increasing
+    phi(lam) = 1/||r(lam)|| - 1/eps_eff (More & Sorensen, "Computing a trust
+    region step", 1983), started from the multiplier of the previous call. It
+    keeps a bracket and bisects when a step leaves it, and hands the bracket
+    to brentq if it has not converged after NEWTON_STEPS evaluations. One
+    instance serves one solve, so the warm start is never shared.
     """
 
+    NEWTON_STEPS = 8
+    RTOL = 1e-14
+
     def __init__(self, A: np.ndarray, y: np.ndarray, eps: float, feas_tol: float):
-        self.A = A
-        self.y = y
-        self.eps = float(eps)
         U, sv, Vh = np.linalg.svd(A, full_matrices=False)
         rank_tol = max(A.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
         r = int(np.sum(sv > rank_tol))
         self.U = U[:, :r]
         self.sv = sv[:r]
+        self.s2 = self.sv**2
         self.Vh = Vh[:r, :]
+        self.V = self.Vh.conj().T
         self.spectral_norm = float(sv[0]) if sv.size else 0.0
         # component of y outside range(A) is unreachable by any Az
         y_range_coef = self.U.conj().T @ y
@@ -140,34 +163,61 @@ class _ConstraintProjector:
                 f"the out-of-range residual is {self.y_perp_norm:.3e}"
             )
         self.eps_eff = float(np.sqrt(max(eps**2 - self.y_perp_norm**2, 0.0)))
+        self.lam: float | None = None  # multiplier of the last call, the warm start
+        self.evals = 0  # secular-equation evaluations, brentq's included
+        self.fallbacks = 0  # calls that finished with brentq
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         sv = self.sv
-        coeff = self.Vh @ x
-        b = sv * coeff - self.y_range_coef
-        bnorm = float(np.linalg.norm(b))
-        if bnorm <= self.eps_eff:
+        b = sv * (self.Vh @ x) - self.y_range_coef
+        b2 = (b.conj() * b).real
+        b2sum = float(b2.sum())
+        if b2sum <= self.eps_eff**2:
             return x
         if self.eps_eff <= 0.0:
             t = -b / sv
         else:
-            b2 = np.abs(b) ** 2
-            s2 = sv**2
+            lam = self._multiplier(b2, b2sum)
+            t = -(lam * sv * b) / (1.0 + lam * self.s2)
+        return x + self.V @ t
 
-            def radius(lam: float) -> float:
-                return float(np.sqrt(np.sum(b2 / (1.0 + lam * s2) ** 2)))
+    def _multiplier(self, b2: np.ndarray, b2sum: float) -> float:
+        """The root of ||r(lam)|| = eps_eff, given |b_i|^2 with ||b|| > eps_eff."""
+        s2, eps = self.s2, self.eps_eff
+        ratio = math.sqrt(b2sum) / eps
+        # ||b|| / (1 + lam s_max^2) <= ||r(lam)|| <= ||b|| / (1 + lam s_min^2),
+        # so the root is at least lam0, and ||r(hi)|| <= eps_eff / 2
+        lam0 = (ratio - 1.0) / float(s2[0])
+        lo, hi = 0.0, 2.0 * ratio / float(s2[-1])
+        lam = self.lam if self.lam is not None and lo < self.lam < hi else lam0
 
-            # analytic bracket, inflated until the sign change is strict
-            lam_hi = max((bnorm / self.eps_eff - 1.0) / float(s2.min()), 1.0)
-            for _ in range(200):
-                if radius(lam_hi) < self.eps_eff:
-                    break
-                lam_hi *= 2.0
-            lam = brentq(
-                lambda l: radius(l) - self.eps_eff, 0.0, lam_hi, rtol=1e-14, maxiter=200
-            )
-            t = -(lam * sv * b) / (1.0 + lam * s2)
-        return x + self.Vh.conj().T @ t
+        def radius(lam_: float) -> tuple[float, np.ndarray, np.ndarray]:
+            self.evals += 1
+            inv = 1.0 / (1.0 + lam_ * s2)
+            r2 = b2 * inv * inv
+            return math.sqrt(r2.sum()), r2, inv
+
+        for _ in range(self.NEWTON_STEPS):
+            rho, r2, inv = radius(lam)
+            if rho > eps:
+                lo = lam
+            else:
+                hi = lam
+            # the Newton step -phi/phi' is (rho/eps - 1) n / q, where n = rho^2
+            # and q = -n'/2 = sum r_i^2 s_i^2 / (1 + lam s_i^2)
+            step = (rho / eps - 1.0) * rho * rho / float(r2 @ (s2 * inv))
+            new = lam + step
+            if abs(step) <= self.RTOL * new or abs(rho / eps - 1.0) <= 4.0 * _EPS:
+                self.lam = new
+                return new
+            lam = new if lo < new < hi else 0.5 * (lo + hi)
+
+        # a tiny xtol leaves brentq the same relative tolerance as Newton
+        self.fallbacks += 1
+        self.lam = brentq(
+            lambda l: radius(l)[0] - eps, lo, hi, xtol=_TINY, rtol=self.RTOL, maxiter=200
+        )
+        return self.lam
 
 
 def _objective(z: np.ndarray, w: np.ndarray) -> float:
@@ -221,6 +271,8 @@ def solve_weighted_bpdn(
 
     project = _ConstraintProjector(A, y, epsilon, feas_tol)
     mu = 1.0 / project.spectral_norm if project.spectral_norm > 0 else 1.0
+    # WeightProfile holds positive finite weights and mu > 0, so the
+    # thresholds are valid and the loop can shrink without checking them
     tau = mu * prof.w
 
     wv = np.zeros(n, dtype=dtype)
@@ -237,7 +289,7 @@ def solve_weighted_bpdn(
     inner_tol = 0.02 * rel_tol
     loose_hits = 0
     for it in range(1, max_iter + 1):
-        z = complex_soft_threshold(wv, tau)
+        z = _shrink(wv, tau)
         v = project(2.0 * z - wv)
         wv += v - z
         gap = float(np.linalg.norm(v - z))
@@ -261,6 +313,7 @@ def solve_weighted_bpdn(
     if res_z <= epsilon + feas_tol * (1.0 + ynorm):
         candidates.append((z, _objective(z, prof.w), res_z))
     x, objective, residual = min(candidates, key=lambda c: c[1])
+    gap = float(np.linalg.norm(v - z))
 
     outcome = SolverOutcome(
         x=x,
@@ -270,11 +323,18 @@ def solve_weighted_bpdn(
         converged=converged,
         epsilon=epsilon,
         feasibility_gap=max(residual - epsilon, 0.0),
-        diagnostics={"objective_trace": obj_trace, "prox_scale": mu},
+        diagnostics={
+            "objective_trace": obj_trace,
+            "prox_scale": mu,
+            "gap": gap,
+            "projection_evals": project.evals,
+            "rootfind_fallbacks": project.fallbacks,
+        },
     )
     if not converged and raise_on_nonconvergence:
         raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (gap {float(np.linalg.norm(v - z)):.3e})",
+            f"no convergence after {max_iter} iterations "
+            f"(gap {gap:.3e}, residual {residual:.6e} for radius {epsilon:.6e})",
             outcome,
         )
     return outcome

@@ -353,6 +353,32 @@ def test_experiment_error_bounds_sweep(tmp_path, capsys):
     assert "bound_l2" in header and "premise_holds" in header
 
 
+def test_experiment_error_bounds_records_nonconverged_trials(tmp_path, capsys, monkeypatch):
+    import wcs.experiments
+
+    capped = wcs.experiments.solve_weighted_bpdn
+    monkeypatch.setattr(
+        wcs.experiments,
+        "solve_weighted_bpdn",
+        lambda *args, **kwargs: capped(*args, max_iter=50, **kwargs),
+    )
+    cfg = _write_config(
+        tmp_path,
+        "e.json",
+        {"name": "error-bounds", "trials": 8, "seed": 3, "noise_levels": [1e-3, 1e-2]},
+    )
+    code, out, _ = _run(capsys, ["experiment", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 0
+    summary = json.loads(out)["result"]["summary"]
+    assert summary["not_converged"] == summary["premise_true"] >= 1
+    assert summary["violations"] == 0
+    rows = (tmp_path / "o" / "error-bounds.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    stalled = [dict(zip(header, r.split(","))) for r in rows[1:] if "not-converged" in r]
+    assert len(stalled) == summary["not_converged"]
+    assert all(float(r["solver_gap"]) > 0 and r["passed"] == "" for r in stalled)
+
+
 def test_certify_infinite_constant_serializes(tmp_path, capsys):
     # a zero column hides a kernel vector inside a single support
     write_matrix(tmp_path / "a.wcsmat", np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))

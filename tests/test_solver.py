@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, linprog
+
+import wcs.solver
 
 from wcs.certify import nsp_constant
 from wcs.construct import sample_partial_unitary, unitary_with_flat_first_row
@@ -238,6 +242,7 @@ def test_nonconvergence_raises_with_outcome_attached():
     with pytest.raises(ConvergenceError) as err:
         solve_weighted_bp(A, y, np.ones(9), max_iter=3)
     assert err.value.outcome.iterations == 3
+    assert "residual" in str(err.value)
     assert not err.value.outcome.converged
     out = solve_weighted_bp(A, y, np.ones(9), max_iter=3, raise_on_nonconvergence=False)
     assert not out.converged
@@ -271,3 +276,166 @@ def test_recovery_problem_validates_and_solves():
         RecoveryProblem(A, np.ones(3), np.ones(3))
     with pytest.raises(ValueError, match="nonnegative"):
         RecoveryProblem(A, np.ones(2), np.ones(3), epsilon=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# constraint projection: Newton root find against a bisection oracle
+
+
+def _radius(b2, s2, lam):
+    return float(np.sqrt(np.sum(b2 / (1.0 + lam * s2) ** 2)))
+
+
+def _bisection_multiplier(b2, s2, eps):
+    """Bisect ||r(lam)|| = eps until the floating-point interval cannot shrink."""
+    lo, hi = 0.0, 1.0
+    while _radius(b2, s2, hi) > eps:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if _radius(b2, s2, mid) > eps:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _random_unitary(rng, k, complex_data):
+    Z = rng.standard_normal((k, k))
+    if complex_data:
+        Z = Z + 1j * rng.standard_normal((k, k))
+    Q, _ = np.linalg.qr(Z)
+    return Q
+
+
+@st.composite
+def projection_cases(draw):
+    """A matrix with a chosen spectrum, a noise radius and a point to project."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_data = draw(st.booleans())
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(m, 10))
+    rank = draw(st.integers(1, m))  # rank < m makes A rank-deficient
+    spread = draw(st.sampled_from([0.0, 2.0, 6.0]))  # s_min = 10^-spread
+    sv = np.sort(10.0 ** -rng.uniform(0.0, spread, rank))[::-1]
+    sv[0], sv[-1] = 1.0, 10.0**-spread if rank > 1 else 1.0
+    U = _random_unitary(rng, m, complex_data)
+    V = _random_unitary(rng, n, complex_data)
+    A = (U[:, :rank] * sv) @ V[:, :rank].conj().T
+    # y may leave the range of A; the radius must then cover that part too
+    x0 = V[:, :rank] @ rng.standard_normal(rank)
+    perp = U[:, rank:] @ rng.standard_normal(m - rank) if rank < m else np.zeros(m)
+    perp *= draw(st.sampled_from([0.0, 0.5])) / max(np.linalg.norm(perp), 1e-300)
+    eps_eff = 10.0 ** draw(st.floats(-6.0, 0.0))
+    eps = float(np.sqrt(eps_eff**2 + np.linalg.norm(perp) ** 2))
+    # ||b|| = eps_eff / ratio: a ratio near zero puts eps_eff near zero
+    ratio = 10.0 ** draw(st.floats(-12.0, np.log10(0.99)))
+    g = rng.standard_normal(rank) + (1j * rng.standard_normal(rank) if complex_data else 0)
+    g *= (eps_eff / ratio) / np.linalg.norm(sv * g)
+    null = V[:, rank:] @ rng.standard_normal(n - rank)
+    x = x0 + V[:, :rank] @ g + null
+    inside = x0 + V[:, :rank] @ (0.9 * ratio * g) + null  # ||b|| = 0.9 eps_eff
+    warm = draw(st.sampled_from([None, 1e-3, 0.5, 0.999, 1.001, 2.0, 1e3]))
+    return A, A @ x0 + perp, eps, x, inside, warm
+
+
+@given(projection_cases())
+@settings(max_examples=200, deadline=None)
+def test_projection_multiplier_matches_bisection(case):
+    A, y, eps, x, inside, warm = case
+    proj = wcs.solver._ConstraintProjector(A, y, eps, feas_tol=1e-9)
+    b = proj.sv * (proj.Vh @ x) - proj.y_range_coef
+    b2 = np.abs(b) ** 2
+    lam_ref = _bisection_multiplier(b2, proj.s2, proj.eps_eff)
+    # the root pins lam only to about ulp / e relative, e = -(lam / rho) drho/dlam
+    t = lam_ref * proj.s2
+    r2 = b2 / (1.0 + t) ** 2
+    assume(np.sum(r2 * t / (1.0 + t)) >= 1e-3 * np.sum(r2))
+    proj.lam = None if warm is None else warm * lam_ref  # warm start below or above
+    px = proj(x)
+    assert abs(proj.lam - lam_ref) <= 1e-12 * lam_ref
+    # feasible, up to the rounding of forming A P(x) - y
+    scale = np.linalg.norm(A, 2) * (np.linalg.norm(px) + np.linalg.norm(x)) + np.linalg.norm(y)
+    assert np.linalg.norm(A @ px - y) <= eps * (1.0 + 1e-9) + 1e-14 * scale
+    assert np.array_equal(proj(inside), inside)
+
+
+class _BrentqProjector(wcs.solver._ConstraintProjector):
+    """The multiplier as the solver found it before Newton: bracket doubling and brentq."""
+
+    def _multiplier(self, b2, b2sum):
+        s2, eps = self.s2, self.eps_eff
+        lam_hi = max((np.sqrt(b2sum) / eps - 1.0) / float(s2.min()), 1.0)
+        for _ in range(200):
+            if _radius(b2, s2, lam_hi) < eps:
+                break
+            lam_hi *= 2.0
+        return brentq(lambda l: _radius(b2, s2, l) - eps, 0.0, lam_hi, rtol=1e-14, maxiter=200)
+
+
+def _checked_shrink(z, tau):
+    """The soft-threshold as the solver loop computed it before, checks included."""
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), z.shape)
+    if np.any(tau < 0):
+        raise ValueError("thresholds must be nonnegative")
+    mag = np.abs(z)
+    keep = mag > tau
+    scale = np.zeros(z.shape)
+    np.divide(tau, mag, out=scale, where=keep)
+    return np.where(keep, (1.0 - scale) * z, 0.0 * z)
+
+
+def _seeded_problem(seed, complex_data, eps):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((6, 12))
+    x = np.zeros(12)
+    x[rng.choice(12, 2, replace=False)] = rng.standard_normal(2)
+    if complex_data:
+        A = A + 1j * rng.standard_normal((6, 12))
+        x = x * np.exp(2j * np.pi * rng.uniform(size=12))
+    A /= np.linalg.norm(A, axis=0)
+    e = rng.standard_normal(6)
+    y = A @ x + (eps * e / np.linalg.norm(e) if eps else 0.0)
+    return A, y, rng.uniform(0.8, 1.0, 12)
+
+
+@pytest.mark.parametrize(
+    "seed, complex_data, eps",
+    [
+        (20, False, 0.0),
+        (21, True, 0.0),
+        (22, False, 1e-2),
+        (23, True, 1e-2),
+        (24, False, 1e-1),
+        (25, True, 1e-1),
+    ],
+)
+def test_newton_projection_keeps_the_iterates(monkeypatch, seed, complex_data, eps):
+    A, y, w = _seeded_problem(seed, complex_data, eps)
+    new = solve_weighted_bpdn(A, y, w, eps)
+    monkeypatch.setattr(wcs.solver, "_ConstraintProjector", _BrentqProjector)
+    monkeypatch.setattr(wcs.solver, "_shrink", _checked_shrink)
+    old = solve_weighted_bpdn(A, y, w, eps)
+    assert new.iterations == old.iterations
+    assert abs(new.objective - old.objective) <= 1e-10 * old.objective
+
+
+def test_projection_telemetry():
+    A, y, w = _seeded_problem(22, False, 1e-2)
+    noisy = solve_weighted_bpdn(A, y, w, 1e-2).diagnostics
+    assert noisy["projection_evals"] > 0
+    assert noisy["rootfind_fallbacks"] == 0
+    exact = solve_weighted_bp(A, A @ np.eye(12)[3], w).diagnostics
+    assert exact["projection_evals"] == 0
+    assert exact["rootfind_fallbacks"] == 0
+
+
+def test_rootfind_fallback_matches_newton(monkeypatch):
+    A, y, w = _seeded_problem(23, True, 1e-2)
+    newton = solve_weighted_bpdn(A, y, w, 1e-2)
+    monkeypatch.setattr(wcs.solver._ConstraintProjector, "NEWTON_STEPS", 0)
+    fallback = solve_weighted_bpdn(A, y, w, 1e-2)
+    assert fallback.diagnostics["rootfind_fallbacks"] > 0
+    assert fallback.iterations == newton.iterations
+    assert abs(fallback.objective - newton.objective) <= 1e-10 * newton.objective
