@@ -52,6 +52,7 @@ from .core import (
     SparseModel,
     TermApproximation,
     WeightProfile,
+    as_matrix,
     as_weights,
     best_weighted_s_term,
     build_partition,
@@ -73,7 +74,6 @@ from .matrixio import (
 from .solver import (
     ConvergenceError,
     InfeasibleProblemError,
-    RecoveryProblem,
     SolverOutcome,
     complex_soft_threshold,
     solve_weighted_bp,

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_matrix
+
 __all__ = [
     "ErrorBudget",
     "PremiseError",
@@ -185,14 +187,14 @@ def rip_nsp_error_budget(
 
 def largest_singular_value(M) -> float:
     """Spectral norm via singular value decomposition."""
-    M = np.asarray(getattr(M, "matrix", M))
+    M = as_matrix(M)
     sv = np.linalg.svd(M, compute_uv=False)
     return float(sv[0]) if sv.size else 0.0
 
 
 def smallest_positive_singular_value(M, tol: float | None = None) -> float:
     """Smallest singular value above the rank cutoff."""
-    M = np.asarray(getattr(M, "matrix", M))
+    M = as_matrix(M)
     sv = np.linalg.svd(M, compute_uv=False)
     if sv.size == 0:
         raise ValueError("matrix has no singular values")

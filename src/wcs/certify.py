@@ -20,6 +20,7 @@ from scipy.optimize import linprog
 
 from .core import (
     SparseModel,
+    as_matrix,
     as_weights,
     complement,
     maximal_admissible_supports,
@@ -55,17 +56,9 @@ class BoundViolationError(RuntimeError):
     """A quantity exceeded a bound that should hold for every matrix."""
 
 
-def _as_matrix_array(A) -> np.ndarray:
-    M = getattr(A, "matrix", A)
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise ValueError(f"matrix must be 2-d, got shape {M.shape}")
-    return M
-
-
 def null_space_basis(A, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of ker(A) as columns, via singular value thresholding."""
-    A = _as_matrix_array(A)
+    A = as_matrix(A)
     return scipy.linalg.null_space(A, rcond=tol)
 
 
@@ -90,7 +83,7 @@ def rip_constant(A, w, model: SparseModel, s: float, cap: int | None = None) -> 
     Submatrix singular value extremes are monotone under support inclusion,
     so only maximal admissible supports are visited.
     """
-    A = _as_matrix_array(A)
+    A = as_matrix(A)
     prof = as_weights(w, A.shape[1])
     best = 0.0
     best_support: tuple[int, ...] | None = None
@@ -328,7 +321,7 @@ def nsp_constant(
     vector lives entirely inside an admissible support. The property holds
     iff gamma < 1, reported with a certification margin of 1e-9.
     """
-    A = _as_matrix_array(A)
+    A = as_matrix(A)
     n = A.shape[1]
     prof = as_weights(w, n)
     B = null_space_basis(A)
@@ -475,7 +468,7 @@ def check_robust_nsp_kernel(
     witness. Off the kernel only a randomized falsification search runs:
     samples=0 skips it and the report stays undecided off kernel.
     """
-    A = _as_matrix_array(A)
+    A = as_matrix(A)
     n = A.shape[1]
     prof = as_weights(w, n)
     threshold = rho / math.sqrt(s)
@@ -545,7 +538,7 @@ def disjoint_inner_product_bound_check(
     The pairwise value on supports (S, T) is the largest singular value of
     A_S^* A_T; it can never exceed the measured constant at order s + t.
     """
-    A = _as_matrix_array(A)
+    A = as_matrix(A)
     n = A.shape[1]
     prof = as_weights(w, n)
     if int(s) != s or int(t) != t or s < 1 or t < 1:
@@ -616,7 +609,7 @@ def exact_recovery_equivalence_test(
     into a planted vector and a competitor with no worse objective,
     exhibiting non-uniqueness directly.
     """
-    A = _as_matrix_array(A)
+    A = as_matrix(A)
     n = A.shape[1]
     prof = as_weights(w, n)
     res = nsp_constant(A, prof, model, s, cap=cap, seed=seed)

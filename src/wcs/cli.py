@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -28,6 +27,7 @@ from .certify import (
 )
 from .construct import (
     ConstructionError,
+    SenseMatrix,
     build_counterexample,
     dft_matrix,
     sample_partial_unitary,
@@ -119,6 +119,34 @@ def _require(obj: dict[str, Any], key: str, where: str) -> Any:
     return obj[key]
 
 
+def _sample_rows(spec: dict[str, Any], kind: str, where: str) -> SenseMatrix:
+    """Rows sampled from the unitary base that a generator or construct spec names.
+
+    dft-rows and partial-dft sample the DFT matrix, orthogonal-rows a seeded
+    real orthogonal matrix with a flat first row, partial-unitary the matrix
+    in the file named by 'base'.
+    """
+    seed = int(spec.get("seed", 0))
+    if kind == "partial-unitary":
+        if "base" not in spec:
+            raise ConfigError("'partial-unitary' needs 'base', a unitary matrix file")
+        base, _ = read_matrix(spec["base"])
+    else:
+        n = int(_require(spec, "n", where))
+        base = (
+            dft_matrix(n)
+            if kind in ("dft-rows", "partial-dft")
+            else unitary_with_flat_first_row(n, seed=seed, real=True)
+        )
+    return sample_partial_unitary(
+        base,
+        int(_require(spec, "m", where)),
+        seed=seed,
+        exclude_first_row=bool(spec.get("exclude_first_row", False)),
+        with_replacement=bool(spec.get("with_replacement", False)),
+    )
+
+
 def _load_matrix(cfg: dict[str, Any]) -> np.ndarray:
     if ("matrix" in cfg) == ("generator" in cfg):
         raise ConfigError("exactly one of 'matrix' (a file path) or 'generator' is required")
@@ -131,26 +159,8 @@ def _load_matrix(cfg: dict[str, Any]) -> np.ndarray:
     kind = gen["kind"]
     if kind == "identity":
         return np.eye(int(_require(gen, "n", "identity generator")))
-    if kind == "dft-rows":
-        sm = sample_partial_unitary(
-            dft_matrix(int(_require(gen, "n", "dft-rows generator"))),
-            int(_require(gen, "m", "dft-rows generator")),
-            seed=int(gen.get("seed", 0)),
-            exclude_first_row=bool(gen.get("exclude_first_row", False)),
-            with_replacement=bool(gen.get("with_replacement", False)),
-        )
-        return sm.matrix
-    if kind == "orthogonal-rows":
-        base = unitary_with_flat_first_row(
-            int(_require(gen, "n", "orthogonal-rows generator")), seed=int(gen.get("seed", 0)), real=True
-        )
-        sm = sample_partial_unitary(
-            base,
-            int(_require(gen, "m", "orthogonal-rows generator")),
-            seed=int(gen.get("seed", 0)),
-            exclude_first_row=bool(gen.get("exclude_first_row", False)),
-        )
-        return sm.matrix
+    if kind in ("dft-rows", "orthogonal-rows"):
+        return _sample_rows(gen, kind, f"{kind} generator").matrix
     if kind == "gaussian":
         rng = np.random.default_rng(int(gen.get("seed", 0)))
         A = rng.standard_normal((int(_require(gen, "m", "gaussian generator")), int(_require(gen, "n", "gaussian generator"))))
@@ -170,13 +180,15 @@ def _load_weights(cfg: dict[str, Any], n: int) -> np.ndarray:
     if kind == "uniform":
         return np.full(n, float(spec.get("value", 1.0)))
     if kind == "explicit":
-        w = np.asarray(spec["values"], dtype=float)
+        w = np.asarray(_require(spec, "values", "explicit weights"), dtype=float)
         if w.size != n:
             raise ConfigError(f"weights have length {w.size}, matrix has {n} columns")
         return w
     if kind == "random":
         rng = np.random.default_rng(int(spec.get("seed", 0)))
-        return rng.uniform(float(spec["low"]), float(spec["high"]), n)
+        low = float(_require(spec, "low", "random weights"))
+        high = float(_require(spec, "high", "random weights"))
+        return rng.uniform(low, high, n)
     raise ConfigError(f"unknown weights kind {kind!r}")
 
 
@@ -246,7 +258,7 @@ def _emit(command: str, result: Any, started: float, out_dir: Path | None) -> No
 # commands
 
 
-def cmd_certify(cfg: dict[str, Any], out_dir: Path | None, started: float, workers: int) -> int:
+def cmd_certify(cfg: dict[str, Any], out_dir: Path | None, started: float) -> int:
     A = _load_matrix(cfg)
     w = _load_weights(cfg, A.shape[1])
     model = _parse_model(cfg["model"])
@@ -280,7 +292,7 @@ def cmd_certify(cfg: dict[str, Any], out_dir: Path | None, started: float, worke
     return EXIT_VIOLATED if report.satisfied is False else EXIT_OK
 
 
-def cmd_recover(cfg: dict[str, Any], out_dir: Path | None, started: float, workers: int) -> int:
+def cmd_recover(cfg: dict[str, Any], out_dir: Path | None, started: float) -> int:
     A = _load_matrix(cfg)
     w = _load_weights(cfg, A.shape[1])
     y = _parse_measurements(cfg, A.shape[0])
@@ -303,29 +315,12 @@ def cmd_recover(cfg: dict[str, Any], out_dir: Path | None, started: float, worke
     return EXIT_OK
 
 
-def cmd_construct(cfg: dict[str, Any], out_dir: Path | None, started: float, workers: int) -> int:
+def cmd_construct(cfg: dict[str, Any], out_dir: Path | None, started: float) -> int:
     out = out_dir if out_dir is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     kind = cfg["kind"]
     if kind in ("partial-dft", "orthogonal-rows", "partial-unitary"):
-        m = int(_require(cfg, "m", kind))
-        if kind == "partial-unitary":
-            if "base" not in cfg:
-                raise ConfigError("'partial-unitary' needs 'base', a unitary matrix file")
-            base, _ = read_matrix(cfg["base"])
-            n = base.shape[0]
-        else:
-            n = int(_require(cfg, "n", kind))
-            base = (
-                dft_matrix(n)
-                if kind == "partial-dft"
-                else unitary_with_flat_first_row(n, seed=int(cfg.get("seed", 0)), real=True)
-            )
-        sm = sample_partial_unitary(
-            base, m, seed=int(cfg.get("seed", 0)),
-            exclude_first_row=bool(cfg.get("exclude_first_row", False)),
-            with_replacement=bool(cfg.get("with_replacement", False)),
-        )
+        sm = _sample_rows(cfg, kind, kind)
         write_matrix(
             out / "matrix.wcsmat",
             sm.matrix,
@@ -382,11 +377,11 @@ def cmd_construct(cfg: dict[str, Any], out_dir: Path | None, started: float, wor
     return EXIT_OK if all(checks.values()) else EXIT_VIOLATED
 
 
-def cmd_experiment(cfg: dict[str, Any], out_dir: Path | None, started: float, workers: int) -> int:
+def cmd_experiment(cfg: dict[str, Any], out_dir: Path | None, started: float) -> int:
     name = cfg["name"]
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; expected one of {sorted(EXPERIMENTS)}")
-    rows, summary = EXPERIMENTS[name](cfg, workers=workers)
+    rows, summary = EXPERIMENTS[name](cfg)
     out = out_dir if out_dir is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
@@ -417,7 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="directory for output files")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        # sweeps run in one thread; --workers is still accepted and ignored
+        p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
 
@@ -430,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, started, max(1, args.workers))
+        return _COMMANDS[args.command](cfg, out_dir, started)
     except (
         ConfigError,
         MatrixFormatError,

@@ -18,6 +18,7 @@ from .bounds import recovery_constants_floor_weights, robust_nsp_constants_from_
 from .certify import null_space_basis, nsp_constant
 from .core import (
     SparseModel,
+    as_matrix,
     as_weights,
     complement,
     enumeration_cap,
@@ -63,11 +64,7 @@ class SenseMatrix:
     provenance: Provenance
 
     def __post_init__(self):
-        M = np.asarray(self.matrix)
-        if M.ndim != 2:
-            raise ValueError(f"sensing matrix must be 2-d, got shape {M.shape}")
-        if not np.all(np.isfinite(M.view(float) if np.iscomplexobj(M) else M)):
-            raise ValueError("sensing matrix has non-finite entries")
+        M = as_matrix(self.matrix)
         if self.provenance.rows is not None and len(self.provenance.rows) != M.shape[0]:
             raise ValueError("provenance row list does not match the row count")
         object.__setattr__(self, "matrix", M)
@@ -596,7 +593,7 @@ def shrink_to_break_robust_nsp(
     term; shrinking only the matrix term then breaks the inequality while
     the kernel (hence any kernel-sharing property) is untouched.
     """
-    A = np.asarray(getattr(Psi, "matrix", Psi))
+    A = as_matrix(Psi)
     n = A.shape[1]
     prof = as_weights(w, n)
     x = np.asarray(x_witness).ravel()

@@ -23,6 +23,7 @@ __all__ = [
     "SparseModel",
     "TermApproximation",
     "WeightProfile",
+    "as_matrix",
     "as_weights",
     "best_weighted_s_term",
     "build_partition",
@@ -111,6 +112,16 @@ def as_weights(w, n: int | None = None) -> WeightProfile:
     if n is not None and len(prof) != n:
         raise ValueError(f"weight vector has length {len(prof)}, expected {n}")
     return prof
+
+
+def as_matrix(A) -> np.ndarray:
+    """Coerce an array or SenseMatrix to a 2-d array with finite entries."""
+    M = np.asarray(getattr(A, "matrix", A))
+    if M.ndim != 2:
+        raise ValueError(f"matrix must be 2-d, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix has non-finite entries")
+    return M
 
 
 def complement(support: Sequence[int], n: int) -> tuple[int, ...]:

@@ -1,16 +1,16 @@
 """Built-in experiment sweeps: recovery-vs-certification agreement, error
 bound validation, and scaling invariance demonstrations.
 
-Each experiment is a pure function from a config dict to (rows, summary);
-per-trial randomness is derived from (seed, trial index) so results do not
-depend on execution order and sweeps can run trial-parallel.
+Each experiment is a pure function from a config dict to (rows, summary).
+Trials run one after another in index order. Per-trial randomness is
+derived from (seed, trial index), so a sweep resumed from a start index
+reproduces the rows of the full run.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 import numpy as np
@@ -37,31 +37,21 @@ def _run_trials(
     n_trials: int,
     start_index: int,
     budget_seconds: float | None,
-    workers: int,
     trial_fn: Callable[[int], dict[str, Any]],
 ) -> tuple[list[dict[str, Any]], int | None]:
-    """Run trial_fn over indices, deterministically ordered, budget-aware.
+    """Run trial_fn over indices in order, budget-aware.
 
-    Returns (rows sorted by trial index, resume index or None). The budget
-    is checked between scheduling waves so a partial run still yields a
-    deterministic prefix of the full sweep.
+    Returns (rows in trial order, resume index or None). The budget is
+    checked before each trial so a partial run still yields a deterministic
+    prefix of the full sweep.
     """
     t0 = time.monotonic()
     rows: list[dict[str, Any]] = []
-    next_index = None
-    indices = list(range(start_index, n_trials))
-    wave = max(1, workers)
-    pos = 0
-    with ThreadPoolExecutor(max_workers=wave) as pool:
-        while pos < len(indices):
-            if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
-                next_index = indices[pos]
-                break
-            batch = indices[pos : pos + wave]
-            rows.extend(pool.map(trial_fn, batch))
-            pos += len(batch)
-    rows.sort(key=lambda r: r["trial"])
-    return rows, next_index
+    for index in range(start_index, n_trials):
+        if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
+            return rows, index
+        rows.append(trial_fn(index))
+    return rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +87,7 @@ def _equivalence_instance(rng: np.random.Generator) -> tuple[np.ndarray, Any, Sp
     return A, w, model, s, label
 
 
-def run_equivalence_sweep(config: dict[str, Any], workers: int = 1):
+def run_equivalence_sweep(config: dict[str, Any]):
     trials = int(config.get("trials", 30))
     seed = int(config.get("seed", 0))
     start = int(config.get("start_index", 0))
@@ -123,7 +113,7 @@ def run_equivalence_sweep(config: dict[str, Any], workers: int = 1):
             "consistent": verdict.consistent,
         }
 
-    rows, resume = _run_trials(trials, start, budget, workers, one)
+    rows, resume = _run_trials(trials, start, budget, one)
     agree = sum(r["consistent"] for r in rows)
     summary: dict[str, Any] = {
         "experiment": "equivalence",
@@ -141,7 +131,7 @@ def run_equivalence_sweep(config: dict[str, Any], workers: int = 1):
 # (b) error bound validation sweep
 
 
-def run_error_bound_sweep(config: dict[str, Any], workers: int = 1):
+def run_error_bound_sweep(config: dict[str, Any]):
     trials = int(config.get("trials", 20))
     seed = int(config.get("seed", 0))
     start = int(config.get("start_index", 0))
@@ -235,7 +225,7 @@ def run_error_bound_sweep(config: dict[str, Any], workers: int = 1):
         )
         return row
 
-    rows, resume = _run_trials(trials, start, budget, workers, one)
+    rows, resume = _run_trials(trials, start, budget, one)
     checked = [r for r in rows if not r["vacuous"]]
     summary: dict[str, Any] = {
         "experiment": "error-bounds",
@@ -253,7 +243,7 @@ def run_error_bound_sweep(config: dict[str, Any], workers: int = 1):
 # (c) scaling invariance demo
 
 
-def run_scaling_demo(config: dict[str, Any], workers: int = 1):
+def run_scaling_demo(config: dict[str, Any]):
     seed = int(config.get("seed", 0))
     factors = [float(c) for c in config.get("factors", [0.5, 2.0])]
     rows: list[dict[str, Any]] = []

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import as_matrix
+
 __all__ = [
     "MatrixFormatError",
     "format_entry",
@@ -68,9 +70,7 @@ def _parse_header(line: str, magic: str, n_dims: int, path) -> tuple[bool, list[
 
 
 def write_matrix(path, M, provenance: list[str] | None = None) -> None:
-    M = np.asarray(getattr(M, "matrix", M))
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {M.shape}")
+    M = as_matrix(M)
     complex_kind = bool(np.iscomplexobj(M))
     m, n = M.shape
     lines = [_header(MATRIX_MAGIC, "complex" if complex_kind else "real", m, n)]

@@ -22,12 +22,11 @@ from typing import Any
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import as_weights
+from .core import as_matrix, as_weights
 
 __all__ = [
     "ConvergenceError",
     "InfeasibleProblemError",
-    "RecoveryProblem",
     "SolverOutcome",
     "complex_soft_threshold",
     "solve_weighted_bp",
@@ -68,35 +67,6 @@ class SolverOutcome:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class RecoveryProblem:
-    """A sensing matrix, measurements, weights, and a noise radius.
-
-    epsilon = 0 means the equality-constrained program.
-    """
-
-    A: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        A = _as_matrix_array(self.A)
-        y = np.asarray(self.y).ravel()
-        if y.size != A.shape[0]:
-            raise ValueError(f"measurements have length {y.size}, expected {A.shape[0]}")
-        as_weights(self.w, A.shape[1])
-        if self.epsilon < 0:
-            raise ValueError("noise radius must be nonnegative")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "y", y)
-
-    def solve(self, **kwargs) -> "SolverOutcome":
-        if self.epsilon == 0:
-            return solve_weighted_bp(self.A, self.y, self.w, **kwargs)
-        return solve_weighted_bpdn(self.A, self.y, self.w, self.epsilon, **kwargs)
-
-
 def complex_soft_threshold(z, tau) -> np.ndarray:
     """Shrink each modulus by tau_i, keeping the phase; zero stays zero."""
     z = np.asarray(z)
@@ -113,14 +83,6 @@ def _shrink(z: np.ndarray, tau: np.ndarray) -> np.ndarray:
     # where nothing is kept the factor is 1 - 1 = 0, so the entry becomes 0 * z
     scale = np.divide(tau, mag, out=np.ones(mag.shape), where=keep)
     return (1.0 - scale) * z
-
-
-def _as_matrix_array(A) -> np.ndarray:
-    M = getattr(A, "matrix", A)
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise ValueError(f"sensing matrix must be 2-d, got shape {M.shape}")
-    return M
 
 
 class _ConstraintProjector:
@@ -241,7 +203,7 @@ def solve_weighted_bpdn(
     exact constraint projection. The proximal scale comes from the measured
     largest singular value, so the run is fully determined by the inputs.
     """
-    A = _as_matrix_array(A)
+    A = as_matrix(A)
     y = np.asarray(y).ravel()
     m, n = A.shape
     if y.size != m:
@@ -350,7 +312,7 @@ def solve_weighted_bp(
     raise_on_nonconvergence: bool = True,
 ) -> SolverOutcome:
     """Minimize ||z||_{w,1} subject to Az = y (noise radius zero)."""
-    A = _as_matrix_array(A)
+    A = as_matrix(A)
     if A.shape[0] > A.shape[1]:
         raise ValueError(
             f"equality-constrained recovery expects m <= N, got shape {A.shape}"

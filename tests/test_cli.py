@@ -83,6 +83,47 @@ def test_certify_malformed_matrix_exit_one(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_certify_rip_non_finite_matrix_exit_one(tmp_path, capsys):
+    bad = tmp_path / "nan.wcsmat"
+    bad.write_text("WCSMAT 1 real 2 2\n1 nan\n0 1\n")
+    cfg = _write_config(
+        tmp_path,
+        "c.json",
+        {
+            "property": "rip",
+            "model": "cardinality",
+            "s": 1,
+            "weights": {"kind": "uniform"},
+            "matrix": str(bad),
+        },
+    )
+    code, out, err = _run(capsys, ["certify", "--config", cfg])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "weights, key",
+    [({"kind": "random", "high": 1.0}, "low"), ({"kind": "explicit"}, "values")],
+)
+def test_certify_weights_missing_key_exit_one(tmp_path, capsys, weights, key):
+    cfg = _write_config(
+        tmp_path,
+        "c.json",
+        {
+            "property": "rip",
+            "model": "cardinality",
+            "s": 1,
+            "weights": weights,
+            "generator": {"kind": "identity", "n": 3},
+        },
+    )
+    code, _, err = _run(capsys, ["certify", "--config", cfg])
+    assert code == 1
+    assert err.startswith("error:") and repr(key) in err
+
+
 def test_certify_unknown_key_rejected(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -117,6 +158,29 @@ def test_certify_cap_override_env(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, ["certify", "--config", cfg])
     assert code == 1
     assert "cap of 4" in err
+
+
+def test_orthogonal_rows_generator_honours_with_replacement(tmp_path, capsys):
+    # six of six rows: distinct rows give an orthogonal matrix (delta 0), a
+    # repeated row makes it singular (delta >= 1)
+    gen = {"kind": "orthogonal-rows", "n": 6, "m": 6, "seed": 0}
+    deltas = []
+    for extra in ({}, {"with_replacement": True}):
+        cfg = _write_config(
+            tmp_path,
+            "c.json",
+            {
+                "property": "rip",
+                "model": "cardinality",
+                "s": 6,
+                "weights": {"kind": "uniform"},
+                "generator": dict(gen, **extra),
+            },
+        )
+        _, out, _ = _run(capsys, ["certify", "--config", cfg])
+        deltas.append(json.loads(out)["result"]["constants"]["delta"])
+    assert deltas[0] == pytest.approx(0.0, abs=1e-12)
+    assert deltas[1] >= 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +320,7 @@ def test_experiment_equivalence_deterministic_and_consistent(tmp_path, capsys):
     assert code == 0
     csv_a = (tmp_path / "a" / "equivalence.csv").read_text()
     csv_b = (tmp_path / "b" / "equivalence.csv").read_text()
-    assert csv_a == csv_b  # identical despite different worker counts
+    assert csv_a == csv_b  # --workers is accepted and changes nothing
     report = json.loads(out_a)
     assert report["result"]["summary"]["agreement_rate"] == 1.0
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcs.certify import nsp_constant, rip_constant
 from wcs.core import (
     BudgetError,
     EnumerationCapError,
     PartitionBoundError,
     SparseModel,
     WeightProfile,
+    as_matrix,
     best_weighted_s_term,
     build_partition,
     complement,
@@ -23,9 +25,38 @@ from wcs.core import (
     standing_assumption_holds,
     weighted_l1_norm,
 )
+from wcs.solver import solve_weighted_bp
 
 CARD = SparseModel.CARDINALITY
 WCARD = SparseModel.WEIGHTED_CARDINALITY
+
+
+# ---------------------------------------------------------------------------
+# matrix ingestion
+
+
+_ENTRY_POINTS = {
+    "as_matrix": as_matrix,
+    "rip_constant": lambda A: rip_constant(A, np.ones(3), CARD, 1),
+    "nsp_constant": lambda A: nsp_constant(A, np.ones(3), CARD, 1),
+    "solve_weighted_bp": lambda A: solve_weighted_bp(A, np.ones(2), np.ones(3)),
+}
+
+
+_BAD_MATRICES = {
+    "nan": np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 1.0]]),
+    "inf": np.array([[1.0, 0.0, 0.0], [0.0, -np.inf, 1.0]]),
+    "complex-nan": np.array([[1.0, complex(0.0, np.nan), 0.0], [0.0, 1.0, 1j]]),
+    "one-dimensional": np.array([1.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", sorted(_BAD_MATRICES))
+def test_matrix_entry_points_reject_non_finite_and_non_2d(entry, bad):
+    message = "must be 2-d" if bad == "one-dimensional" else "non-finite"
+    with pytest.raises(ValueError, match=message):
+        _ENTRY_POINTS[entry](_BAD_MATRICES[bad])
 
 
 # ---------------------------------------------------------------------------

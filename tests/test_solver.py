@@ -263,19 +263,16 @@ def test_bpdn_complex_instance():
     assert np.linalg.norm(out.x - x) <= 0.2  # noise-limited accuracy
 
 
-def test_recovery_problem_validates_and_solves():
-    from wcs.solver import RecoveryProblem
-
+def test_solver_solves_and_validates_its_inputs():
     A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-    prob = RecoveryProblem(A, np.array([1.0, 1.0]), np.array([1.0, 1.0, 10.0]))
-    out = prob.solve()
+    out = solve_weighted_bp(A, np.array([1.0, 1.0]), np.array([1.0, 1.0, 10.0]))
     assert out.x == pytest.approx(np.array([1.0, 1.0, 0.0]), abs=1e-6)
-    noisy = RecoveryProblem(np.eye(2), np.array([3.0, 4.0]), np.ones(2), epsilon=10.0)
-    assert noisy.solve().zero_feasible
+    noisy = solve_weighted_bpdn(np.eye(2), np.array([3.0, 4.0]), np.ones(2), epsilon=10.0)
+    assert noisy.zero_feasible
     with pytest.raises(ValueError, match="length"):
-        RecoveryProblem(A, np.ones(3), np.ones(3))
+        solve_weighted_bpdn(A, np.ones(3), np.ones(3), epsilon=0.1)
     with pytest.raises(ValueError, match="nonnegative"):
-        RecoveryProblem(A, np.ones(2), np.ones(3), epsilon=-1.0)
+        solve_weighted_bpdn(A, np.ones(2), np.ones(3), epsilon=-1.0)
 
 
 # ---------------------------------------------------------------------------
