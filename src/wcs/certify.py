@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import scipy.linalg
@@ -50,6 +50,11 @@ CERTIFICATION_MARGIN = 1e-9
 _RANK_TOL = 1e-10
 _ASCENT_RESTARTS = 12
 _ASCENT_ITERS = 300
+_RIP_CHUNK = 1024
+# a support whose per-index bound sum reaches this may hide a kernel vector
+_HIDDEN_BOUND = 1.0 - 1e-6
+# relative slack on the per-support upper bound when pruning
+_PRUNE_SLACK = 1e-6
 
 
 class BoundViolationError(RuntimeError):
@@ -81,21 +86,33 @@ def rip_constant(A, w, model: SparseModel, s: float, cap: int | None = None) -> 
     """delta = max over admissible supports of max(sigma_max^2 - 1, 1 - sigma_min^2).
 
     Submatrix singular value extremes are monotone under support inclusion,
-    so only maximal admissible supports are visited.
+    so only maximal admissible supports are visited. They are taken in
+    chunks, and within a chunk one batched eigvalsh call per support size
+    gives the Gram spectra; the first support attaining the maximum wins.
     """
     A = as_matrix(A)
     prof = as_weights(w, A.shape[1])
+    rows = A.T
     best = 0.0
     best_support: tuple[int, ...] | None = None
     count = 0
-    for S in maximal_admissible_supports(A.shape[1], prof, model, s, cap=cap):
-        count += 1
-        cols = A[:, list(S)]
-        evs = np.linalg.eigvalsh(cols.conj().T @ cols)
-        d_here = max(float(evs[-1]) - 1.0, 1.0 - float(evs[0]))
-        if best_support is None or d_here > best:
-            best = d_here
-            best_support = S
+    supports = maximal_admissible_supports(A.shape[1], prof, model, s, cap=cap)
+    while chunk := list(islice(supports, _RIP_CHUNK)):
+        by_size: dict[int, list[int]] = {}
+        for k, S in enumerate(chunk):
+            by_size.setdefault(len(S), []).append(k)
+        d_chunk = np.empty(len(chunk))
+        for positions in by_size.values():
+            # product form: gathering from a precomputed Gram matrix moves
+            # delta by rounding and can change the attaining support
+            cols = rows[np.array([chunk[k] for k in positions])]
+            evs = np.linalg.eigvalsh(cols.conj() @ cols.transpose(0, 2, 1))
+            d_chunk[positions] = np.maximum(evs[:, -1] - 1.0, 1.0 - evs[:, 0])
+        k = int(np.argmax(d_chunk))
+        if best_support is None or d_chunk[k] > best:
+            best = float(d_chunk[k])
+            best_support = chunk[k]
+        count += len(chunk)
     return RipResult(
         delta=best if best_support is not None else 0.0,
         attaining_support=best_support,
@@ -300,7 +317,12 @@ def _max_kernel_ratio(B, S, comp, w_arr, numerator: str, seed: int) -> tuple[flo
 
 @dataclass(frozen=True)
 class NspResult:
-    """Measured null space constant with the attaining support and vector."""
+    """Measured null space constant with the attaining support and vector.
+
+    supports_pruned counts the maximal supports whose upper bound ruled them
+    out without a linear program; lp_calls counts every linear program,
+    including the per-index bounds.
+    """
 
     gamma: float
     satisfied: bool
@@ -310,6 +332,79 @@ class NspResult:
     kernel_dim: int
     order: float
     model: SparseModel
+    supports_pruned: int = 0
+    lp_calls: int = 0
+
+
+def _per_index_bounds(B: np.ndarray, w_arr: np.ndarray) -> np.ndarray:
+    """alpha_i = max w_i |v_i| over kernel vectors v = Bc with ||v||_{w,1} <= 1.
+
+    The polytope is symmetric under c -> -c, so maximizing w_i (Bc)_i gives
+    the modulus (Juditsky and Nemirovski, Math. Program. 127, 2011).
+    """
+    n, d = B.shape
+    A_ub, b_ub, bounds = _offsupport_lp_parts(B, list(range(n)), w_arr)
+    return np.array(
+        [_lp_max_linear(w_arr[i] * B[i, :], A_ub, b_ub, bounds, d)[0] for i in range(n)]
+    )
+
+
+def _nsp_real(B, prof, model, s, cap) -> NspResult:
+    """Exact real constant, visiting supports by decreasing upper bound.
+
+    On a kernel vector with ||v||_{w,1} = 1, ||v_S||_{w,1} <= a = sum of
+    alpha_i over S, so the ratio on S is at most a / (1 - a). A support
+    whose bound cannot reach the best value so far needs no linear program.
+    Ties keep the smaller enumeration index, so the result is the one an
+    in-order scan returns. The sign-pattern programs need no seed.
+    """
+    n, kdim = B.shape
+    supports = list(maximal_admissible_supports(n, prof, model, s, cap=cap))
+    if not supports:
+        return NspResult(0.0, True, None, None, 0, kdim, s, model)
+    alpha = _per_index_bounds(B, prof.w)
+    lp_calls = n
+    upper = []
+    for S in supports:
+        a = float(alpha[list(S)].sum())
+        upper.append(math.inf if a >= _HIDDEN_BOUND else a / (1.0 - a))
+    order = sorted(range(len(supports)), key=lambda k: (-upper[k], k))
+
+    best = 0.0
+    best_index: int | None = None
+    witness: np.ndarray | None = None
+    visited = 0
+    for k in order:
+        if upper[k] * (1.0 + _PRUNE_SLACK) < best:
+            break
+        visited += 1
+        S = supports[k]
+        comp = complement(S, n)
+        hidden = _hidden_kernel_vector(B, comp)
+        if hidden is None:
+            val, v = _max_wl1_ratio_real(B, S, comp, prof.w)
+            lp_calls += 2 ** (len(S) - 1)
+        else:
+            val, v = math.inf, hidden
+        if math.isinf(val):
+            return NspResult(
+                math.inf, False, S, v, k + 1, kdim, s, model,
+                supports_pruned=len(supports) - visited, lp_calls=lp_calls,
+            )
+        if val > best or (val == best and best_index is not None and k < best_index):
+            best, best_index, witness = val, k, v
+    return NspResult(
+        gamma=best,
+        satisfied=best < 1.0 - CERTIFICATION_MARGIN,
+        attaining_support=None if best_index is None else supports[best_index],
+        witness=witness,
+        supports_examined=len(supports),
+        kernel_dim=kdim,
+        order=s,
+        model=model,
+        supports_pruned=len(supports) - visited,
+        lp_calls=lp_calls,
+    )
 
 
 def nsp_constant(
@@ -319,7 +414,9 @@ def nsp_constant(
 
     gamma = 0 for a trivial kernel; math.inf (with witness) when some kernel
     vector lives entirely inside an admissible support. The property holds
-    iff gamma < 1, reported with a certification margin of 1e-9.
+    iff gamma < 1, reported with a certification margin of 1e-9. Real
+    kernels are solved exactly, skipping supports that per-index bounds rule
+    out; complex kernels run the ratio ascent on every support.
     """
     A = as_matrix(A)
     n = A.shape[1]
@@ -328,6 +425,8 @@ def nsp_constant(
     kdim = B.shape[1]
     if kdim == 0:
         return NspResult(0.0, True, None, None, 0, 0, s, model)
+    if not np.iscomplexobj(B):
+        return _nsp_real(B, prof, model, s, cap)
 
     best = 0.0
     best_support: tuple[int, ...] | None = None

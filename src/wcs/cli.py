@@ -119,6 +119,14 @@ def _require(obj: dict[str, Any], key: str, where: str) -> Any:
     return obj[key]
 
 
+def _number(value: Any, key: str, convert=float):
+    """A config value converted to a number; a value of another JSON type is a config error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} must be a number, not {json.dumps(value)}") from None
+
+
 def _sample_rows(spec: dict[str, Any], kind: str, where: str) -> SenseMatrix:
     """Rows sampled from the unitary base that a generator or construct spec names.
 
@@ -199,16 +207,18 @@ def _parse_measurements(cfg: dict[str, Any], m: int) -> np.ndarray:
         y, _ = read_vector(cfg["y_file"])
     else:
         raw = cfg["y"]
+        if not isinstance(raw, list):
+            raise ConfigError("'y' must be a list of numbers and [re, im] pairs")
         entries = []
         complex_seen = False
         for item in raw:
             if isinstance(item, (list, tuple)):
                 if len(item) != 2:
                     raise ConfigError("complex measurement entries must be [re, im] pairs")
-                entries.append(complex(item[0], item[1]))
+                entries.append(complex(_number(item[0], "y"), _number(item[1], "y")))
                 complex_seen = True
             else:
-                entries.append(float(item))
+                entries.append(_number(item, "y"))
         y = np.asarray(entries, dtype=complex if complex_seen else float)
     if y.size != m:
         raise ConfigError(f"measurement vector has length {y.size}, matrix has {m} rows")
@@ -241,12 +251,18 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def _emit(command: str, result: Any, started: float, out_dir: Path | None) -> None:
+def _emit(
+    command: str,
+    result: Any,
+    started: float,
+    out_dir: Path | None,
+    telemetry: dict[str, Any] | None = None,
+) -> None:
     report = {
         "schema": REPORT_SCHEMA,
         "command": command,
         "result": _jsonable(result),
-        "telemetry": {"wall_time_s": round(time.monotonic() - started, 6)},
+        "telemetry": {**(telemetry or {}), "wall_time_s": round(time.monotonic() - started, 6)},
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
@@ -262,18 +278,19 @@ def cmd_certify(cfg: dict[str, Any], out_dir: Path | None, started: float) -> in
     A = _load_matrix(cfg)
     w = _load_weights(cfg, A.shape[1])
     model = _parse_model(cfg["model"])
-    s = float(cfg["s"])
+    s = _number(cfg["s"], "s")
     prop = cfg["property"]
+    telemetry = None
     if prop == "rip":
         result = rip_constant(A, w, model, s)
         threshold = cfg.get("threshold")
         report = CertificationReport.from_rip(
-            result, w, None if threshold is None else float(threshold)
+            result, w, None if threshold is None else _number(threshold, "threshold")
         )
     elif prop == "nsp":
-        report = CertificationReport.from_nsp(
-            nsp_constant(A, w, model, s, seed=int(cfg.get("seed", 0))), w
-        )
+        result = nsp_constant(A, w, model, s, seed=_number(cfg.get("seed", 0), "seed", int))
+        report = CertificationReport.from_nsp(result, w)
+        telemetry = {"supports_pruned": result.supports_pruned, "lp_calls": result.lp_calls}
     elif prop == "robust-nsp":
         if model is not SparseModel.WEIGHTED_CARDINALITY:
             raise ConfigError("robust-nsp certification uses the weighted-cardinality model")
@@ -281,14 +298,15 @@ def cmd_certify(cfg: dict[str, Any], out_dir: Path | None, started: float) -> in
             raise ConfigError("robust-nsp certification needs 'rho' and 'gamma'")
         report = CertificationReport.from_robust(
             check_robust_nsp_kernel(
-                A, w, s, float(cfg["rho"]), float(cfg["gamma"]),
-                samples=int(cfg.get("samples", 100)), seed=int(cfg.get("seed", 0)),
+                A, w, s, _number(cfg["rho"], "rho"), _number(cfg["gamma"], "gamma"),
+                samples=_number(cfg.get("samples", 100), "samples", int),
+                seed=_number(cfg.get("seed", 0), "seed", int),
             ),
             w,
         )
     else:
         raise ConfigError(f"unknown property {prop!r}; expected rip, nsp, or robust-nsp")
-    _emit("certify", report, started, out_dir)
+    _emit("certify", report, started, out_dir, telemetry)
     return EXIT_VIOLATED if report.satisfied is False else EXIT_OK
 
 
@@ -296,12 +314,12 @@ def cmd_recover(cfg: dict[str, Any], out_dir: Path | None, started: float) -> in
     A = _load_matrix(cfg)
     w = _load_weights(cfg, A.shape[1])
     y = _parse_measurements(cfg, A.shape[0])
-    epsilon = float(cfg["epsilon"])
+    epsilon = _number(cfg["epsilon"], "epsilon")
     kwargs: dict[str, Any] = {}
     if "rel_tol" in cfg:
-        kwargs["rel_tol"] = float(cfg["rel_tol"])
+        kwargs["rel_tol"] = _number(cfg["rel_tol"], "rel_tol")
     if "max_iter" in cfg:
-        kwargs["max_iter"] = int(cfg["max_iter"])
+        kwargs["max_iter"] = _number(cfg["max_iter"], "max_iter", int)
     if epsilon == 0:
         outcome = solve_weighted_bp(A, y, w, **kwargs)
     else:

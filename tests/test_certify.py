@@ -1,14 +1,19 @@
 """Certification: kernel bases, isometry constants, null space constants,
 robust kernel checks, and the recovery equivalence replay."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from wcs import cli
 from wcs.bounds import robust_nsp_constants_from_rip
 from wcs.certify import (
     CERTIFICATION_MARGIN,
+    CertificationReport,
+    NspResult,
+    _max_kernel_ratio,
     check_robust_nsp_kernel,
     disjoint_inner_product_bound_check,
     exact_recovery_equivalence_test,
@@ -17,7 +22,14 @@ from wcs.certify import (
     rip_constant,
 )
 from wcs.construct import dft_matrix, sample_partial_unitary, unitary_with_flat_first_row
-from wcs.core import SparseModel, enumerate_admissible_supports, weighted_l1_norm
+from wcs.core import (
+    SparseModel,
+    as_weights,
+    complement,
+    enumerate_admissible_supports,
+    maximal_admissible_supports,
+    weighted_l1_norm,
+)
 
 CARD = SparseModel.CARDINALITY
 WCARD = SparseModel.WEIGHTED_CARDINALITY
@@ -322,8 +334,6 @@ def test_rip_scaling_recomputation_identity():
     A = rng.standard_normal((4, 7))
     A /= np.linalg.norm(A, axis=0)
     w = np.ones(7)
-    from wcs.core import maximal_admissible_supports
-
     extremes = []
     for S in maximal_admissible_supports(7, w, CARD, 2):
         evs = np.linalg.eigvalsh(A[:, list(S)].T @ A[:, list(S)])
@@ -332,3 +342,180 @@ def test_rip_scaling_recomputation_identity():
         expect = max(max(c * c * hi - 1.0, 1.0 - c * c * lo) for lo, hi in extremes)
         got = rip_constant(c * A, w, CARD, 2).delta
         assert got == pytest.approx(expect, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the per-support scans they replace
+
+
+def _nsp_in_order(A, w, model, s, seed=0):
+    """Every maximal support in enumeration order, one kernel ratio each."""
+    n = A.shape[1]
+    prof = as_weights(w, n)
+    B = null_space_basis(A)
+    if B.shape[1] == 0:
+        return NspResult(0.0, True, None, None, 0, 0, s, model)
+    best, best_support, witness, count = 0.0, None, None, 0
+    for S in maximal_admissible_supports(n, prof, model, s):
+        count += 1
+        val, v = _max_kernel_ratio(B, S, complement(S, n), prof.w, "wl1", seed + count)
+        if math.isinf(val):
+            return NspResult(math.inf, False, S, v, count, B.shape[1], s, model)
+        if val > best:
+            best, best_support, witness = val, S, v
+    return NspResult(
+        best, best < 1.0 - CERTIFICATION_MARGIN, best_support, witness, count, B.shape[1], s, model
+    )
+
+
+def _rip_per_support(A, w, model, s):
+    """One eigvalsh call per maximal support, first maximizer kept."""
+    best, best_support, count = 0.0, None, 0
+    for S in maximal_admissible_supports(A.shape[1], w, model, s):
+        count += 1
+        cols = A[:, list(S)]
+        evs = np.linalg.eigvalsh(cols.conj().T @ cols)
+        d_here = max(float(evs[-1]) - 1.0, 1.0 - float(evs[0]))
+        if best_support is None or d_here > best:
+            best, best_support = d_here, S
+    return (best if best_support is not None else 0.0), best_support, count
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x).tobytes()
+
+
+def _flat_row_kernel(n, m, seed):
+    base = unitary_with_flat_first_row(n, seed=seed, real=True)
+    return sample_partial_unitary(base, m, seed=seed, exclude_first_row=True).matrix
+
+
+def _gaussian(m, n, seed):
+    A = np.random.default_rng(seed).standard_normal((m, n))
+    return A / np.linalg.norm(A, axis=0)
+
+
+def _hidden_in_late_support():
+    # a_7 = -0.7 a_5 puts 0.7 e_5 + e_7 in the kernel, inside {5, 7}; the
+    # per-index bounds of 5 and 7 then sum to 1 + 2e-15, just past one
+    A = _gaussian(4, 8, 34)
+    A[:, 7] = -0.7 * A[:, 5]
+    return A
+
+
+_NSP_CASES = {
+    "gaussian-card": (_gaussian(6, 10, 31), np.random.default_rng(32).uniform(0.7, 1.0, 10), CARD, 2),
+    "gaussian-card-s3": (_gaussian(7, 10, 33), np.ones(10), CARD, 3),
+    "gaussian-wcard-mixed-sizes": (
+        _gaussian(7, 11, 34), np.random.default_rng(35).uniform(1.0, 1.6, 11), WCARD, 3.5
+    ),
+    "kernel-dim-one": (_gaussian(8, 9, 36), np.random.default_rng(37).uniform(1.0, 1.15, 9), WCARD, 2.7),
+    "flat-row-ties": (_flat_row_kernel(10, 9, 2), np.ones(10), CARD, 2),
+    # the first tied maximizer by bound order is not the first by index
+    "flat-row-ties-out-of-order": (_flat_row_kernel(9, 8, 6), np.ones(9), CARD, 3),
+    "flat-row-wide": (_flat_row_kernel(12, 7, 38), np.ones(12), CARD, 2),
+    "hidden-kernel-vector": (
+        _hidden_in_late_support(), np.random.default_rng(34).uniform(0.7, 1.0, 8), CARD, 2
+    ),
+    "trivial-kernel": (_gaussian(6, 6, 39), np.ones(6), CARD, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NSP_CASES))
+def test_nsp_pruned_scan_matches_in_order_scan_bitwise(case):
+    A, w, model, s = _NSP_CASES[case]
+    want = _nsp_in_order(A, w, model, s)
+    got = nsp_constant(A, w, model, s)
+    assert float(got.gamma).hex() == float(want.gamma).hex()
+    assert got.attaining_support == want.attaining_support
+    assert _bits(got.witness) == _bits(want.witness)
+    assert got.supports_examined == want.supports_examined
+    assert got.kernel_dim == want.kernel_dim
+    assert got.satisfied == want.satisfied
+    if case == "hidden-kernel-vector":
+        assert math.isinf(got.gamma) and got.attaining_support == (5, 7)
+    if case == "trivial-kernel":
+        assert (got.supports_examined, got.lp_calls) == (0, 0)
+
+
+def test_nsp_pruning_skips_supports_and_counts_its_programs():
+    A, w, model, s = _NSP_CASES["gaussian-card"]
+    res = nsp_constant(A, w, model, s)
+    n = A.shape[1]
+    assert 0 < res.supports_pruned < res.supports_examined
+    # n bound programs, then 2^(|S|-1) sign patterns per visited support
+    visited = res.supports_examined - res.supports_pruned
+    assert res.lp_calls == n + visited * 2 ** (s - 1)
+
+
+def test_nsp_complex_scan_reports_no_pruning():
+    sm = sample_partial_unitary(dft_matrix(8), 5, seed=0)
+    res = nsp_constant(sm, np.ones(8), CARD, 1)
+    assert (res.supports_examined, res.supports_pruned, res.lp_calls) == (8, 0, 0)
+
+
+_RIP_CASES = {
+    "gaussian-card": (_gaussian(5, 9, 40), np.ones(9), CARD, 3),
+    "complex-dft-wcard-mixed-sizes": (
+        sample_partial_unitary(dft_matrix(12), 7, seed=41).matrix,
+        np.random.default_rng(42).uniform(1.0, 1.6, 12),
+        WCARD,
+        4.5,
+    ),
+    "flat-row-ties-across-chunks": (_flat_row_kernel(16, 15, 43), np.ones(16), CARD, 4),
+    "no-admissible-support": (_gaussian(4, 6, 44), np.full(6, 1.5), WCARD, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RIP_CASES))
+def test_rip_batched_matches_per_support_bitwise(case):
+    A, w, model, s = _RIP_CASES[case]
+    delta, support, count = _rip_per_support(A, w, model, s)
+    got = rip_constant(A, w, model, s)
+    assert float(got.delta).hex() == float(delta).hex()
+    assert got.attaining_support == support
+    assert got.supports_examined == count
+    if case == "complex-dft-wcard-mixed-sizes":
+        sizes = {len(S) for S in maximal_admissible_supports(12, w, model, s)}
+        assert len(sizes) > 1
+    if case == "flat-row-ties-across-chunks":
+        assert count > 1024
+    if case == "no-admissible-support":
+        assert (count, support) == (0, None)
+
+
+_README_CERTIFY = {
+    "property": "nsp",
+    "model": "cardinality",
+    "s": 2,
+    "weights": {"kind": "uniform"},
+    "generator": {"kind": "dft-rows", "n": 12, "m": 6, "seed": 0},
+}
+_REAL_CERTIFY = {
+    "property": "nsp",
+    "model": "cardinality",
+    "s": 2,
+    "weights": {"kind": "uniform"},
+    "generator": {"kind": "orthogonal-rows", "n": 14, "m": 9, "seed": 3},
+}
+
+
+@pytest.mark.parametrize("config", [_README_CERTIFY, _REAL_CERTIFY], ids=["readme-dft", "orthogonal-rows"])
+def test_certify_nsp_result_bytes_match_in_order_scan(tmp_path, capsys, config):
+    path = tmp_path / "certify.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["certify", "--config", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    A = cli._load_matrix(config)
+    w = cli._load_weights(config, A.shape[1])
+    want = CertificationReport.from_nsp(_nsp_in_order(A, w, CARD, 2.0), w)
+    assert json.dumps(report["result"], sort_keys=True) == json.dumps(
+        json.loads(json.dumps(cli._jsonable(want))), sort_keys=True
+    )
+    assert code == (2 if want.satisfied is False else 0)
+    telemetry = report["telemetry"]
+    assert set(telemetry) == {"lp_calls", "supports_pruned", "wall_time_s"}
+    if np.iscomplexobj(A):
+        assert (telemetry["lp_calls"], telemetry["supports_pruned"]) == (0, 0)
+    else:
+        assert telemetry["lp_calls"] > A.shape[1] and telemetry["supports_pruned"] > 0

@@ -124,6 +124,24 @@ def test_certify_weights_missing_key_exit_one(tmp_path, capsys, weights, key):
     assert err.startswith("error:") and repr(key) in err
 
 
+def test_certify_null_order_exit_one(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "c.json",
+        {
+            "property": "nsp",
+            "model": "cardinality",
+            "s": None,
+            "weights": {"kind": "uniform"},
+            "generator": {"kind": "identity", "n": 3},
+        },
+    )
+    code, out, err = _run(capsys, ["certify", "--config", cfg])
+    assert code == 1
+    assert out == ""
+    assert err == "error: 's' must be a number, not null\n"
+
+
 def test_certify_unknown_key_rejected(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -204,6 +222,24 @@ def test_recover_zero_solution_flag(tmp_path, capsys):
     assert report["result"]["zero_feasible"] is True
     x, _ = read_vector(tmp_path / "o" / "solution.wcsvec")
     assert np.all(x == 0)
+
+
+@pytest.mark.parametrize("y", [5, [1.0, None, 0.0], [[1.0, {}], 0.0, 0.0]])
+def test_recover_measurements_of_wrong_type_exit_one(tmp_path, capsys, y):
+    cfg = _write_config(
+        tmp_path,
+        "r.json",
+        {
+            "generator": {"kind": "identity", "n": 3},
+            "weights": {"kind": "uniform"},
+            "epsilon": 0.0,
+            "y": y,
+        },
+    )
+    code, out, err = _run(capsys, ["recover", "--config", cfg])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: 'y' must be")
 
 
 def test_recover_infeasible_exit_one(tmp_path, capsys):
