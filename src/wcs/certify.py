@@ -1,11 +1,12 @@
 """Desk-scale certification of weighted null space and restricted isometry
 properties.
 
-Null space ratios are exact for real matrices (linear programs over the
-kernel basis, one per sign pattern) and lower-bounded for complex matrices
-by a phase-aware projected ascent with deterministic restarts. Restricted
-isometry constants come from eigenvalue extremes of column submatrices over
-the maximal admissible supports.
+Null space ratios are exact for real matrices: taken over the vertex
+directions of the kernel polytope when there are few enough of them, by
+linear programs over the kernel basis (one per sign pattern) otherwise.
+Complex matrices get a lower bound from a phase-aware projected ascent with
+deterministic restarts. Restricted isometry constants come from eigenvalue
+extremes of column submatrices over the maximal admissible supports.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ _RANK_TOL = 1e-10
 _ASCENT_RESTARTS = 12
 _ASCENT_ITERS = 300
 _RIP_CHUNK = 1024
+# real kernels with at most this many vertex directions C(N, d-1) skip the LPs
+_VERTEX_BUDGET = 1 << 14
+# direction x support entries evaluated per block of the vertex scan
+_VERTEX_BLOCK = 1 << 15
+# a kernel vector whose off-support mass is at most this share of its total
+# mass lives inside the support
+_HIDDEN_MASS = 1e-10
 # a support whose per-index bound sum reaches this may hide a kernel vector
 _HIDDEN_BOUND = 1.0 - 1e-6
 # relative slack on the per-support upper bound when pruning
@@ -311,6 +319,64 @@ def _max_kernel_ratio(B, S, comp, w_arr, numerator: str, seed: int) -> tuple[flo
     return _max_wl1_ratio_real(B, S, comp, w_arr)
 
 
+def _vertex_scan_fits(B: np.ndarray) -> bool:
+    n, d = B.shape
+    return not np.iscomplexobj(B) and math.comb(n, d - 1) <= _VERTEX_BUDGET
+
+
+def _vertex_ratios(B, w_arr, supports, numerator: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact largest kernel ratio of every support, over the vertex directions.
+
+    Both numerators are convex and the denominator ||(Bc)_{S^c}||_{w,1} is a
+    norm, so the supremum on S sits at a vertex of {c : ||B_{S^c} c||_{w,1}
+    <= 1}: a null vector of B_J for d - 1 rows J of S^c. Each null vector of
+    B_J, J over all (d - 1)-subsets of rows, is a kernel vector, so the
+    largest ratio per support over all of them is exact. Returns the ratios
+    (inf where a kernel vector lives inside the support), the coefficient
+    direction attaining each (first direction on ties) and the number of
+    directions evaluated.
+    """
+    n, d = B.shape
+    rows = np.array(list(combinations(range(n), d - 1)), dtype=np.intp)
+    rows = rows.reshape(len(rows), d - 1)
+    K = len(supports)
+    inside = np.zeros((K, n))
+    for k, S in enumerate(supports):
+        inside[k, list(S)] = 1.0
+    outside = 1.0 - inside
+    best = np.full(K, -np.inf)
+    best_c = np.zeros((K, d))
+    every = np.arange(K)
+    step = max(1, _VERTEX_BLOCK // K)
+    for lo in range(0, len(rows), step):
+        J = rows[lo : lo + step]
+        # the last column of a complete QR of B_J^T is orthogonal to every row of B_J
+        C = np.linalg.qr(B[J].transpose(0, 2, 1), mode="complete")[0][:, :, -1]
+        V = C @ B.T
+        # exact zeros: rounding there would swamp a small off-support mass
+        V[np.arange(len(J))[:, None], J] = 0.0
+        mass = w_arr * np.abs(V)
+        off = mass @ outside.T
+        on = np.sqrt(np.square(V) @ inside.T) if numerator == "l2" else mass @ inside.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(off <= _HIDDEN_MASS * mass.sum(axis=1)[:, None], np.inf, on / off)
+        j = np.argmax(ratio, axis=0)
+        top = ratio[j, every]
+        better = top > best
+        best[better] = top[better]
+        best_c[better] = C[j[better]]
+    return best, best_c, len(rows)
+
+
+def _vertex_witness(B, comp, w_arr, c, ratio: float) -> np.ndarray:
+    """The kernel vector B c, scaled to off-support mass one when it has any."""
+    v = B @ c
+    if math.isinf(ratio):
+        hidden = _hidden_kernel_vector(B, comp)
+        return hidden if hidden is not None else v / np.linalg.norm(v)
+    return v / float(w_arr[list(comp)] @ np.abs(v[list(comp)]))
+
+
 # ---------------------------------------------------------------------------
 # null space constant
 
@@ -321,7 +387,8 @@ class NspResult:
 
     supports_pruned counts the maximal supports whose upper bound ruled them
     out without a linear program; lp_calls counts every linear program,
-    including the per-index bounds.
+    including the per-index bounds; kernel_vertices counts the vertex
+    directions evaluated instead (0 on the linear program and complex paths).
     """
 
     gamma: float
@@ -334,6 +401,7 @@ class NspResult:
     model: SparseModel
     supports_pruned: int = 0
     lp_calls: int = 0
+    kernel_vertices: int = 0
 
 
 def _per_index_bounds(B: np.ndarray, w_arr: np.ndarray) -> np.ndarray:
@@ -346,6 +414,35 @@ def _per_index_bounds(B: np.ndarray, w_arr: np.ndarray) -> np.ndarray:
     A_ub, b_ub, bounds = _offsupport_lp_parts(B, list(range(n)), w_arr)
     return np.array(
         [_lp_max_linear(w_arr[i] * B[i, :], A_ub, b_ub, bounds, d)[0] for i in range(n)]
+    )
+
+
+def _nsp_vertices(B, prof, model, s, cap) -> NspResult:
+    """Exact real constant from the vertex directions, with no linear program.
+
+    The first support in enumeration order attains the maximum, so a hidden
+    kernel vector is reported at the first support hiding one, with
+    supports_examined counting the supports up to it as an in-order scan
+    does.
+    """
+    n, kdim = B.shape
+    supports = list(maximal_admissible_supports(n, prof, model, s, cap=cap))
+    if not supports:
+        return NspResult(0.0, True, None, None, 0, kdim, s, model)
+    ratios, coeffs, directions = _vertex_ratios(B, prof.w, supports, "wl1")
+    k = int(np.argmax(ratios))
+    gamma = float(ratios[k])
+    S = supports[k]
+    return NspResult(
+        gamma=gamma,
+        satisfied=gamma < 1.0 - CERTIFICATION_MARGIN,
+        attaining_support=S,
+        witness=_vertex_witness(B, complement(S, n), prof.w, coeffs[k], gamma),
+        supports_examined=k + 1 if math.isinf(gamma) else len(supports),
+        kernel_dim=kdim,
+        order=s,
+        model=model,
+        kernel_vertices=directions,
     )
 
 
@@ -414,9 +511,14 @@ def nsp_constant(
 
     gamma = 0 for a trivial kernel; math.inf (with witness) when some kernel
     vector lives entirely inside an admissible support. The property holds
-    iff gamma < 1, reported with a certification margin of 1e-9. Real
-    kernels are solved exactly, skipping supports that per-index bounds rule
-    out; complex kernels run the ratio ascent on every support.
+    iff gamma < 1, reported with a certification margin of 1e-9.
+
+    Real kernels are solved exactly. With a d-dimensional kernel and at most
+    _VERTEX_BUDGET = 2^14 vertex directions C(N, d-1), gamma is the largest
+    ratio over those directions and every maximal support, in closed form;
+    the witness then has off-support mass one. Above the budget, linear
+    programs per sign pattern run on the supports that per-index bounds do
+    not rule out. Complex kernels run the ratio ascent on every support.
     """
     A = as_matrix(A)
     n = A.shape[1]
@@ -425,6 +527,8 @@ def nsp_constant(
     kdim = B.shape[1]
     if kdim == 0:
         return NspResult(0.0, True, None, None, 0, 0, s, model)
+    if _vertex_scan_fits(B):
+        return _nsp_vertices(B, prof, model, s, cap)
     if not np.iscomplexobj(B):
         return _nsp_real(B, prof, model, s, cap)
 
@@ -564,7 +668,12 @@ def check_robust_nsp_kernel(
 
     The kernel restriction is necessary for the full robust property (the
     matrix term vanishes there), so any kernel violation is a genuine
-    witness. Off the kernel only a randomized falsification search runs:
+    witness. The kernel ratio ||v_S||_2 / ||v_{S^c}||_{w,1} is exact on real
+    data with at most _VERTEX_BUDGET = 2^14 vertex directions C(N, d-1) (the
+    largest ratio over them, as in nsp_constant). Above the budget, real
+    data runs alternating direction LPs and complex data the ratio ascent;
+    both only bound the ratio from below, so a kernel violation can then be
+    missed. Off the kernel only a randomized falsification search runs:
     samples=0 skips it and the report stays undecided off kernel.
     """
     A = as_matrix(A)
@@ -578,13 +687,21 @@ def check_robust_nsp_kernel(
     count = 0
     max_ratio = 0.0
     if B.shape[1] > 0:
+        exact = bool(supports) and _vertex_scan_fits(B)
+        if exact:
+            ratios, coeffs, _ = _vertex_ratios(B, prof.w, supports, "l2")
         for S in supports:
             count += 1
             comp = complement(S, n)
-            val, v = _max_kernel_ratio(B, S, comp, prof.w, "l2", seed + count)
+            if exact:
+                val, v = float(ratios[count - 1]), None
+            else:
+                val, v = _max_kernel_ratio(B, S, comp, prof.w, "l2", seed + count)
             if val > max_ratio:
                 max_ratio = val
             if val > threshold * (1.0 + 1e-9) + tol:
+                if v is None:
+                    v = _vertex_witness(B, comp, prof.w, coeffs[count - 1], val)
                 return RobustNspReport(
                     status="violated",
                     order=s,
@@ -618,6 +735,9 @@ def check_robust_nsp_kernel(
 
 @dataclass(frozen=True)
 class DisjointBoundReport:
+    """Largest disjoint-pair coherence against delta_{s+t}; pairs_examined
+    counts the pairs of maximal sizes visited, not every smaller pair."""
+
     max_coherence: float
     delta: float
     max_violation: float
@@ -635,30 +755,40 @@ def disjoint_inner_product_bound_check(
     """max |<Au, Av>| over disjoint unit sparse pairs, checked against delta_{s+t}.
 
     The pairwise value on supports (S, T) is the largest singular value of
-    A_S^* A_T; it can never exceed the measured constant at order s + t.
+    A_S^* A_T; it can never exceed the measured constant at order s + t. It
+    only grows as S or T grows, so only pairs that cannot be extended are
+    visited: |S| = s and |T| = t when N >= s + t, |S| + |T| = N otherwise.
+    pairs_examined counts those pairs. Their singular values are computed
+    in batches of up to 1024 pairs; the first pair attaining the maximum
+    wins.
     """
     A = as_matrix(A)
     n = A.shape[1]
     prof = as_weights(w, n)
     if int(s) != s or int(t) != t or s < 1 or t < 1:
         raise ValueError("pair orders must be positive integers")
-    delta = rip_constant(A, prof, SparseModel.CARDINALITY, int(s) + int(t), cap=cap).delta
+    s, t = int(s), int(t)
+    delta = rip_constant(A, prof, SparseModel.CARDINALITY, s + t, cap=cap).delta
 
+    cols = A.T
     best = 0.0
     best_pair = None
     count = 0
-    indices = range(n)
-    for size_s in range(1, int(s) + 1):
-        for S in combinations(indices, size_s):
-            rest = [i for i in indices if i not in S]
-            for size_t in range(1, int(t) + 1):
-                for T in combinations(rest, size_t):
-                    count += 1
-                    M = A[:, list(S)].conj().T @ A[:, list(T)]
-                    coh = float(np.linalg.svd(M, compute_uv=False)[0])
-                    if coh > best:
-                        best = coh
-                        best_pair = (S, T)
+    for size_s in range(max(1, min(s, n - t)), min(s, n - 1) + 1):
+        size_t = min(t, n - size_s)
+        pairs = (
+            (S, T)
+            for S in combinations(range(n), size_s)
+            for T in combinations([i for i in range(n) if i not in S], size_t)
+        )
+        while chunk := list(islice(pairs, _RIP_CHUNK)):
+            left = cols[np.array([S for S, _ in chunk])]
+            right = cols[np.array([T for _, T in chunk])]
+            coh = np.linalg.svd(left.conj() @ right.transpose(0, 2, 1), compute_uv=False)[:, 0]
+            k = int(np.argmax(coh))
+            if coh[k] > best:
+                best, best_pair = float(coh[k]), chunk[k]
+            count += len(chunk)
     report = DisjointBoundReport(
         max_coherence=best,
         delta=delta,

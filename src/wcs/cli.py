@@ -290,7 +290,11 @@ def cmd_certify(cfg: dict[str, Any], out_dir: Path | None, started: float) -> in
     elif prop == "nsp":
         result = nsp_constant(A, w, model, s, seed=_number(cfg.get("seed", 0), "seed", int))
         report = CertificationReport.from_nsp(result, w)
-        telemetry = {"supports_pruned": result.supports_pruned, "lp_calls": result.lp_calls}
+        telemetry = {
+            "supports_pruned": result.supports_pruned,
+            "lp_calls": result.lp_calls,
+            "kernel_vertices": result.kernel_vertices,
+        }
     elif prop == "robust-nsp":
         if model is not SparseModel.WEIGHTED_CARDINALITY:
             raise ConfigError("robust-nsp certification uses the weighted-cardinality model")

@@ -3,9 +3,12 @@ robust kernel checks, and the recovery equivalence replay."""
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wcs import cli
 from wcs.bounds import robust_nsp_constants_from_rip
@@ -14,6 +17,8 @@ from wcs.certify import (
     CertificationReport,
     NspResult,
     _max_kernel_ratio,
+    _max_l2_ratio_real,
+    _vertex_ratios,
     check_robust_nsp_kernel,
     disjoint_inner_product_bound_check,
     exact_recovery_equivalence_test,
@@ -262,6 +267,56 @@ def test_robust_kernel_undecided_when_search_skipped():
     assert report.status in ("undecided-off-kernel", "violated")
 
 
+def _l2_ratio_by_subsets(B, S, w):
+    """Independent oracle: the largest ||v_S||_2 / ||v_{S^c}||_{w,1} over the
+    vertices of {c : ||B_{S^c} c||_{w,1} <= 1}, one SVD per (d-1)-subset of S^c."""
+    n, d = B.shape
+    comp = [i for i in range(n) if i not in S]
+    best = 0.0
+    for J in combinations(comp, d - 1):
+        v = B @ np.linalg.svd(B[list(J)], full_matrices=True)[2][-1]
+        best = max(best, float(np.linalg.norm(v[list(S)]) / (w[comp] @ np.abs(v[comp]))))
+    return best
+
+
+def test_robust_kernel_ratio_exact_where_the_direction_lps_undershoot():
+    rng = np.random.default_rng(37)
+    n, d = int(rng.integers(8, 11)), int(rng.integers(2, 4))
+    A = rng.standard_normal((n - d, n))
+    A /= np.linalg.norm(A, axis=0)
+    w, s = np.ones(n), 2.5
+    B = null_space_basis(A)
+    # the alternating direction LPs stall at a local maximum on (4, 7)
+    stalled, _ = _max_l2_ratio_real(B, (4, 7), complement((4, 7), n), w, seed=6, restarts=4)
+    assert stalled == pytest.approx(0.3433, abs=1e-4)
+    assert _l2_ratio_by_subsets(B, (4, 7), w) == pytest.approx(0.3835, abs=1e-4)
+
+    supports = list(maximal_admissible_supports(n, w, WCARD, s))
+    oracle = np.array([_l2_ratio_by_subsets(B, S, w) for S in supports])
+    ratios, _, directions = _vertex_ratios(B, w, supports, "l2")
+    assert directions == math.comb(n, d - 1)
+    assert np.abs(ratios - oracle).max() <= 1e-12 * oracle.max()
+
+    report = check_robust_nsp_kernel(A, w, s, rho=10.0, gamma=1.0, samples=0)
+    assert report.status == "undecided-off-kernel"
+    assert report.supports_examined == len(supports)
+    assert report.max_kernel_ratio == pytest.approx(oracle.max(), rel=1e-12)
+
+    # a threshold just below the ratio on (4, 7) is crossed first where the
+    # oracle says, with a witness that replays the ratio
+    threshold = oracle[supports.index((4, 7))] * (1.0 - 1e-6)
+    first = int(np.argmax(oracle > threshold))
+    report = check_robust_nsp_kernel(A, w, s, rho=threshold * math.sqrt(s), gamma=1.0, samples=0)
+    assert report.status == "violated"
+    assert report.witness_support == supports[first]
+    assert report.supports_examined == first + 1
+    assert report.max_kernel_ratio == pytest.approx(oracle[first], rel=1e-12)
+    v, comp = report.witness_vector, complement(supports[first], n)
+    assert np.linalg.norm(A @ v) <= 1e-12
+    assert w[list(comp)] @ np.abs(v[list(comp)]) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(v[list(supports[first])]) == pytest.approx(oracle[first], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # disjoint support inner product bound
 
@@ -297,6 +352,43 @@ def test_disjoint_bound_larger_orders():
     A /= np.linalg.norm(A, axis=0)
     report = disjoint_inner_product_bound_check(A, np.ones(9), 2, 1)
     assert report.max_violation <= 1e-10
+
+
+def _disjoint_all_sizes(A, s, t):
+    """Every disjoint pair with 1 <= |S| <= s and 1 <= |T| <= t, one SVD each."""
+    n = A.shape[1]
+    best = 0.0
+    for size_s in range(1, s + 1):
+        for S in combinations(range(n), size_s):
+            rest = [i for i in range(n) if i not in S]
+            for size_t in range(1, t + 1):
+                for T in combinations(rest, size_t):
+                    M = A[:, list(S)].conj().T @ A[:, list(T)]
+                    best = max(best, float(np.linalg.svd(M, compute_uv=False)[0]))
+    return best
+
+
+@pytest.mark.parametrize(
+    "m, n, s, t, complex_data",
+    [(4, 8, 1, 1, False), (5, 9, 2, 1, True), (6, 11, 2, 2, False), (3, 5, 3, 3, True), (2, 4, 2, 3, False)],
+)
+def test_disjoint_bound_maximal_pairs_match_all_sizes_scan(m, n, s, t, complex_data):
+    rng = np.random.default_rng(16 + n)
+    A = rng.standard_normal((m, n))
+    if complex_data:
+        A = A + 1j * rng.standard_normal((m, n))
+    A /= np.linalg.norm(A, axis=0)
+    report = disjoint_inner_product_bound_check(A, np.ones(n), s, t, raise_on_violation=False)
+    best = _disjoint_all_sizes(A, s, t)
+    assert abs(report.max_coherence - best) <= 1e-12
+    assert report.satisfied == (best - report.delta <= 1e-10)
+    S, T = report.attaining_pair
+    assert not set(S) & set(T)
+    if n >= s + t:
+        assert (len(S), len(T)) == (s, t)
+        assert report.pairs_examined == math.comb(n, s) * math.comb(n - s, t)
+    else:
+        assert len(S) + len(T) == n
 
 
 # ---------------------------------------------------------------------------
@@ -418,40 +510,110 @@ _NSP_CASES = {
         _hidden_in_late_support(), np.random.default_rng(34).uniform(0.7, 1.0, 8), CARD, 2
     ),
     "trivial-kernel": (_gaussian(6, 6, 39), np.ones(6), CARD, 2),
+    # C(20, 9) = 167,960 vertex directions: past the budget, the LP path runs
+    "gaussian-above-budget": (
+        _gaussian(10, 20, 45), np.random.default_rng(46).uniform(0.7, 1.0, 20), CARD, 1
+    ),
 }
+
+
+def _assert_vertex_result_matches_lp_oracle(A, w, got, want, rel=1e-12):
+    """The vertex path computes gamma in closed form, so it agrees with the
+    LP scan up to rounding; tied supports may differ, but the one reported
+    attains gamma and the witness is a kernel vector with off-support mass 1."""
+    n = A.shape[1]
+    B = null_space_basis(A)
+    assert got.kernel_vertices == math.comb(n, B.shape[1] - 1)
+    assert (got.lp_calls, got.supports_pruned) == (0, 0)
+    S, v = got.attaining_support, got.witness
+    comp = complement(S, n)
+    assert np.linalg.norm(A @ v) <= 1e-12 * max(1.0, np.linalg.norm(v))
+    if math.isinf(want.gamma):
+        assert math.isinf(got.gamma) and S == want.attaining_support
+        assert np.abs(v[list(comp)]).max(initial=0.0) <= 1e-10 * np.abs(v).max()
+        return
+    assert got.gamma == pytest.approx(want.gamma, rel=rel)
+    on_S, _ = _max_kernel_ratio(B, S, comp, as_weights(w, n).w, "wl1", 0)
+    assert on_S == pytest.approx(got.gamma, rel=rel)
+    assert w[list(comp)] @ np.abs(v[list(comp)]) == pytest.approx(1.0, rel=1e-12)
+    assert w[list(S)] @ np.abs(v[list(S)]) == pytest.approx(got.gamma, rel=rel)
 
 
 @pytest.mark.parametrize("case", sorted(_NSP_CASES))
 def test_nsp_pruned_scan_matches_in_order_scan_bitwise(case):
+    """Bitwise on the LP path (above the vertex budget); on the vertex path
+    within 1e-12 with the same verdict and support count."""
     A, w, model, s = _NSP_CASES[case]
     want = _nsp_in_order(A, w, model, s)
     got = nsp_constant(A, w, model, s)
-    assert float(got.gamma).hex() == float(want.gamma).hex()
-    assert got.attaining_support == want.attaining_support
-    assert _bits(got.witness) == _bits(want.witness)
     assert got.supports_examined == want.supports_examined
     assert got.kernel_dim == want.kernel_dim
     assert got.satisfied == want.satisfied
+    if got.kernel_vertices:
+        _assert_vertex_result_matches_lp_oracle(A, w, got, want)
+    else:
+        assert float(got.gamma).hex() == float(want.gamma).hex()
+        assert got.attaining_support == want.attaining_support
+        assert _bits(got.witness) == _bits(want.witness)
     if case == "hidden-kernel-vector":
         assert math.isinf(got.gamma) and got.attaining_support == (5, 7)
     if case == "trivial-kernel":
-        assert (got.supports_examined, got.lp_calls) == (0, 0)
+        assert (got.supports_examined, got.lp_calls, got.kernel_vertices) == (0, 0, 0)
+    if case == "gaussian-above-budget":
+        assert got.kernel_vertices == 0
 
 
 def test_nsp_pruning_skips_supports_and_counts_its_programs():
-    A, w, model, s = _NSP_CASES["gaussian-card"]
+    A, w, model, s = _NSP_CASES["gaussian-above-budget"]
     res = nsp_constant(A, w, model, s)
     n = A.shape[1]
     assert 0 < res.supports_pruned < res.supports_examined
     # n bound programs, then 2^(|S|-1) sign patterns per visited support
     visited = res.supports_examined - res.supports_pruned
     assert res.lp_calls == n + visited * 2 ** (s - 1)
+    assert res.kernel_vertices == 0
 
 
 def test_nsp_complex_scan_reports_no_pruning():
     sm = sample_partial_unitary(dft_matrix(8), 5, seed=0)
     res = nsp_constant(sm, np.ones(8), CARD, 1)
-    assert (res.supports_examined, res.supports_pruned, res.lp_calls) == (8, 0, 0)
+    assert (res.supports_examined, res.supports_pruned, res.lp_calls, res.kernel_vertices) == (
+        8, 0, 0, 0
+    )
+
+
+@st.composite
+def _real_nsp_instances(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    if m > 1 and draw(st.booleans()):  # rank-deficient: one row repeats a mix of the others
+        A[-1] = rng.standard_normal(m - 1) @ A[:-1]
+    if draw(st.booleans()):  # a scaled duplicate column hides a kernel vector in two indices
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        A[:, j] = draw(st.sampled_from([1.0, -0.5, 2.0])) * A[:, i]
+    w = rng.uniform(0.6, 1.4, n)
+    if draw(st.booleans()):
+        return A, w, CARD, draw(st.integers(1, 3))
+    return A, w, WCARD, draw(st.floats(1.0, 4.0))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_real_nsp_instances())
+def test_nsp_vertex_path_matches_lp_oracle(instance):
+    """Within 1e-9 here, not 1e-12: HiGHS drops constraint entries below 1e-9,
+    so where a duplicate column leaves rounding-level entries in the kernel
+    basis, the LP oracle itself moves by about 1e-11 relative."""
+    A, w, model, s = instance
+    want = _nsp_in_order(A, w, model, s)
+    got = nsp_constant(A, w, model, s)
+    assert (got.satisfied, got.kernel_dim, got.supports_examined) == (
+        want.satisfied, want.kernel_dim, want.supports_examined
+    )
+    if got.kernel_dim and got.supports_examined:
+        _assert_vertex_result_matches_lp_oracle(A, w, got, want, rel=1e-9)
 
 
 _RIP_CASES = {
@@ -508,14 +670,21 @@ def test_certify_nsp_result_bytes_match_in_order_scan(tmp_path, capsys, config):
     report = json.loads(capsys.readouterr().out)
     A = cli._load_matrix(config)
     w = cli._load_weights(config, A.shape[1])
-    want = CertificationReport.from_nsp(_nsp_in_order(A, w, CARD, 2.0), w)
+    oracle = _nsp_in_order(A, w, CARD, 2.0)
+    expected = oracle  # complex data: the in-order scan, bit for bit
+    if not np.iscomplexobj(A):
+        expected = nsp_constant(A, w, CARD, 2.0)
+        assert (expected.satisfied, expected.kernel_dim, expected.supports_examined) == (
+            oracle.satisfied, oracle.kernel_dim, oracle.supports_examined
+        )
+        _assert_vertex_result_matches_lp_oracle(A, w, expected, oracle)
+    want = CertificationReport.from_nsp(expected, w)
     assert json.dumps(report["result"], sort_keys=True) == json.dumps(
         json.loads(json.dumps(cli._jsonable(want))), sort_keys=True
     )
     assert code == (2 if want.satisfied is False else 0)
     telemetry = report["telemetry"]
-    assert set(telemetry) == {"lp_calls", "supports_pruned", "wall_time_s"}
-    if np.iscomplexobj(A):
-        assert (telemetry["lp_calls"], telemetry["supports_pruned"]) == (0, 0)
-    else:
-        assert telemetry["lp_calls"] > A.shape[1] and telemetry["supports_pruned"] > 0
+    assert set(telemetry) == {"kernel_vertices", "lp_calls", "supports_pruned", "wall_time_s"}
+    assert (telemetry["lp_calls"], telemetry["supports_pruned"], telemetry["kernel_vertices"]) == (
+        expected.lp_calls, expected.supports_pruned, expected.kernel_vertices
+    )
