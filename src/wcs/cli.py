@@ -49,6 +49,16 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATED = 2
 
+# solver diagnostics that `recover` reports in its telemetry, never in its result
+RECOVER_TELEMETRY = (
+    "certified",
+    "polish_attempts",
+    "anderson_rejects",
+    "projection_evals",
+    "rootfind_fallbacks",
+    "gap",
+)
+
 
 class ConfigError(ValueError):
     """Config file fails schema validation."""
@@ -331,9 +341,10 @@ def cmd_recover(cfg: dict[str, Any], out_dir: Path | None, started: float) -> in
     if out_dir is not None:
         write_vector(out_dir / "solution.wcsvec", outcome.x)
     payload = _jsonable(outcome)
-    payload.pop("diagnostics", None)
     payload.pop("x", None)
-    _emit("recover", payload, started, out_dir)
+    diagnostics = payload.pop("diagnostics")
+    telemetry = {k: diagnostics[k] for k in RECOVER_TELEMETRY if k in diagnostics}
+    _emit("recover", payload, started, out_dir, telemetry)
     return EXIT_OK
 
 

@@ -387,6 +387,41 @@ def test_experiment_unknown_name(tmp_path, capsys):
     assert "nope" in err
 
 
+def test_recover_reports_solver_diagnostics_only_in_telemetry(tmp_path, capsys):
+    from wcs.cli import (
+        RECOVER_TELEMETRY,
+        _jsonable,
+        _load_matrix,
+        _load_weights,
+        _parse_measurements,
+    )
+    from wcs.solver import solve_weighted_bpdn
+
+    config = {
+        "generator": {"kind": "dft-rows", "n": 8, "m": 5, "seed": 0},
+        "weights": {"kind": "uniform"},
+        "y": [[-0.316, 0.578], [-0.894, 0.447], [0.316, -1.211], [0.447, 0.0], [0.316, 1.211]],
+        "epsilon": 0.01,
+    }
+    cfg = _write_config(tmp_path, "r.json", config)
+    code, out, _ = _run(capsys, ["recover", "--config", cfg])
+    assert code == 0
+    report = json.loads(out)
+    A = _load_matrix(config)
+    outcome = solve_weighted_bpdn(
+        A, _parse_measurements(config, A.shape[0]), _load_weights(config, A.shape[1]), 0.01
+    )
+    # the result bytes are those of the outcome without x and its diagnostics
+    bare = {k: v for k, v in _jsonable(outcome).items() if k not in ("x", "diagnostics")}
+    assert json.dumps(report["result"], sort_keys=True) == json.dumps(bare, sort_keys=True)
+    telemetry = report["telemetry"]
+    assert set(telemetry) == {*RECOVER_TELEMETRY, "wall_time_s"}
+    assert telemetry["certified"] is True
+    assert {k: telemetry[k] for k in RECOVER_TELEMETRY} == _jsonable(
+        {k: outcome.diagnostics[k] for k in RECOVER_TELEMETRY}
+    )
+
+
 def test_recover_from_vector_file(tmp_path, capsys):
     from wcs.matrixio import write_vector
 
@@ -457,10 +492,11 @@ def test_experiment_error_bounds_records_nonconverged_trials(tmp_path, capsys, m
     import wcs.experiments
 
     capped = wcs.experiments.solve_weighted_bpdn
+    # a cap below the first support polish (iteration 20) leaves every solve uncertified
     monkeypatch.setattr(
         wcs.experiments,
         "solve_weighted_bpdn",
-        lambda *args, **kwargs: capped(*args, max_iter=50, **kwargs),
+        lambda *args, **kwargs: capped(*args, max_iter=10, **kwargs),
     )
     cfg = _write_config(
         tmp_path,
@@ -477,6 +513,16 @@ def test_experiment_error_bounds_records_nonconverged_trials(tmp_path, capsys, m
     stalled = [dict(zip(header, r.split(","))) for r in rows[1:] if "not-converged" in r]
     assert len(stalled) == summary["not_converged"]
     assert all(float(r["solver_gap"]) > 0 and r["passed"] == "" for r in stalled)
+
+
+def test_experiment_error_bounds_default_sweep_converges(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "e.json", {"name": "error-bounds", "seed": 0})
+    code, out, _ = _run(capsys, ["experiment", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 0
+    summary = json.loads(out)["result"]["summary"]
+    assert summary["premise_true"] >= 1
+    assert summary["not_converged"] == 0
+    assert summary["violations"] == 0
 
 
 def test_certify_infinite_constant_serializes(tmp_path, capsys):

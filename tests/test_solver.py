@@ -221,8 +221,10 @@ def test_bpdn_objective_trace_settles():
     x = np.zeros(10)
     x[[0, 4]] = [2.0, -1.0]
     y = A @ x
-    out = solve_weighted_bpdn(A, y, np.ones(10), epsilon=1e-3)
+    # a sample every iteration: the solve stops at its first certified polish
+    out = solve_weighted_bpdn(A, y, np.ones(10), epsilon=1e-3, trace_every=1)
     trace = out.diagnostics["objective_trace"]
+    assert trace[-1] == out.objective
     assert trace[-1] <= trace[0] + 1e-9
     tail = trace[-3:]
     assert max(tail) - min(tail) <= 1e-3 * (1.0 + tail[-1])
@@ -436,3 +438,171 @@ def test_rootfind_fallback_matches_newton(monkeypatch):
     assert fallback.diagnostics["rootfind_fallbacks"] > 0
     assert fallback.iterations == newton.iterations
     assert abs(fallback.objective - newton.objective) <= 1e-10 * newton.objective
+
+
+# ---------------------------------------------------------------------------
+# support polish: certified outcomes against independent oracles
+
+
+def _dual_gap(A, y, w, eps, x):
+    """KKT residuals of x recomputed from x alone, and the relative duality gap.
+
+    The dual point is the least-norm u with (A^H u)_S = w_S phase(x_S) for
+    eps = 0, and the multiple -t r of the residual fitted to it otherwise;
+    scaled into the dual feasible set it gives the weak-duality lower bound
+    Re<u, y> - eps ||u|| on the optimal objective.
+    """
+    S = np.flatnonzero(x)
+    c = w[S] * x[S] / np.abs(x[S])
+    r = A @ x - y
+    if eps == 0:
+        u = np.linalg.lstsq(A[:, S].conj().T, c, rcond=None)[0]
+    else:
+        g = A[:, S].conj().T @ r
+        u = -(np.vdot(-g, c).real / np.vdot(g, g).real) * r
+    dual = A.conj().T @ u
+    stationarity = np.linalg.norm(dual[S] - c) / np.linalg.norm(c)
+    u = u / max(1.0, float(np.max(np.abs(dual) / w)))
+    objective = float(np.sum(w * np.abs(x)))
+    lower = float(np.vdot(u, y).real) - eps * float(np.linalg.norm(u))
+    return float(np.linalg.norm(r)), stationarity, (objective - lower) / objective
+
+
+def _identity_bpdn_oracle(y, w, eps):
+    """min ||z||_{w,1} s.t. ||z - y|| <= eps: z = shrink(y, lam w), ||z - y|| = eps."""
+    lo, hi = 0.0, float(np.max(np.abs(y) / w))
+    while True:
+        lam = 0.5 * (lo + hi)
+        if not lo < lam < hi:
+            break
+        if np.sum(np.minimum(np.abs(y), lam * w) ** 2) > eps**2:
+            hi = lam
+        else:
+            lo = lam
+    z = complex_soft_threshold(y, lam * w)
+    return float(np.sum(w * np.abs(z)))
+
+
+@st.composite
+def polish_cases(draw):
+    """A planted sparse problem: real or complex, BP or BPDN, Gaussian or unitary A."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_data = draw(st.booleans())
+    noisy = draw(st.booleans())
+    unitary = noisy and draw(st.booleans())  # BPDN with a closed-form oracle
+    m = draw(st.integers(3, 7))
+    n = m if unitary else draw(st.integers(m + 1, 12))
+    if unitary:
+        A = _random_unitary(rng, n, complex_data)
+    else:
+        A = rng.standard_normal((m, n)) + (1j * rng.standard_normal((m, n)) if complex_data else 0)
+        A /= np.linalg.norm(A, axis=0)
+    s = draw(st.integers(1, max(1, m // 2)))
+    x = np.zeros(n, dtype=A.dtype)
+    x[rng.choice(n, s, replace=False)] = rng.standard_normal(s) + (
+        1j * rng.standard_normal(s) if complex_data else 0
+    )
+    y = A @ x
+    eps = 0.0
+    if noisy:
+        eps = 10.0 ** draw(st.floats(-4.0, -1.0)) * float(np.linalg.norm(y))
+        e = rng.standard_normal(m) + (1j * rng.standard_normal(m) if complex_data else 0)
+        y = y + 0.5 * eps * e / np.linalg.norm(e)
+    w = rng.uniform(0.5, 1.5, n)
+    return A, y, w, eps, unitary, x
+
+
+@given(polish_cases())
+@settings(max_examples=150, deadline=None)
+def test_certified_outcomes_pass_kkt_and_match_oracles(case):
+    A, y, w, eps, unitary, _ = case
+    out = solve_weighted_bpdn(A, y, w, eps, max_iter=20_000, raise_on_nonconvergence=False)
+    assume(out.diagnostics.get("certified"))
+    residual, stationarity, gap = _dual_gap(A, y, w, eps, out.x)
+    assert residual <= eps + 1e-9 * (1.0 + np.linalg.norm(y))
+    # the polish matches phases to 1e-5; their error enters the gap squared
+    assert stationarity <= 2e-5
+    assert gap <= 1e-8
+    assert out.diagnostics["objective_trace"][-1] == out.objective
+    if eps == 0 and not np.iscomplexobj(A):
+        oracle, _ = _lp_bp_oracle(A, y, w)
+    elif unitary:
+        oracle = _identity_bpdn_oracle(A.conj().T @ y, w, eps)
+    else:
+        return
+    assert abs(out.objective - oracle) <= 1e-8 * oracle
+
+
+def test_polish_certifies_most_planted_problems():
+    # the property test above skips uncertified solves; most must certify
+    certified = 0
+    for k in range(40):
+        eps = [0.0, 1e-3, 1e-2, 1e-1][k % 4]
+        A, y, w = _seeded_problem(100 + k, k % 2 == 1, eps)
+        certified += solve_weighted_bpdn(A, y, w, eps).diagnostics["certified"]
+    assert certified >= 30
+
+
+@given(
+    polish_cases(),
+    st.sampled_from(["planted", "extra", "missing"]),
+    st.floats(-12.0, 0.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_polish_from_perturbed_supports_is_sound(case, support, phase_noise, seed):
+    """Polish from the planted support, one index more or one less, with phases
+    off by up to 10^phase_noise (real data: signs flipped near 1): a returned
+    point is always optimal."""
+    A, y, w, eps, _, planted = case
+    rng = np.random.default_rng(seed)
+    n = A.shape[1]
+    S = list(np.flatnonzero(planted))
+    if support == "extra":
+        S.append(int(rng.choice(np.setdiff1d(np.arange(n), S))))
+    elif support == "missing" and len(S) > 1:
+        S.pop()
+    z = np.zeros(n, dtype=A.dtype)
+    z[S] = np.where(planted[S] != 0, planted[S], 1.0)
+    turn = 10.0**phase_noise * rng.uniform(-1.0, 1.0, len(S))
+    z[S] = z[S] * (np.exp(1j * turn) if np.iscomplexobj(A) else np.where(turn > 0.5, -1.0, 1.0))
+    x = wcs.solver._polish(A, y, w, eps, z, 1e-9 * (1.0 + np.linalg.norm(y)))
+    if x is not None:
+        residual, _, gap = _dual_gap(A, y, w, eps, x)
+        assert residual <= eps + 1e-9 * (1.0 + np.linalg.norm(y))
+        assert gap <= 1e-8
+
+
+def _planted_bp():
+    """Real BP whose planted solution 1.5 e_0 - e_1 the polish certifies."""
+    A, _, w = _seeded_problem(46, False, 0.0)
+    x = np.zeros(12)
+    x[[0, 1]] = [1.5, -1.0]
+    return A, A @ x, w
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+def test_polish_declines_wrong_or_rank_deficient_supports(eps):
+    A, y, w = _planted_bp()
+    polish = lambda A_, z: wcs.solver._polish(A_, y, w, eps, z, 1e-9 * (1.0 + np.linalg.norm(y)))
+    right = np.zeros(12)
+    right[[0, 1]] = [1.0, -1.0]
+    assert polish(A, right) is not None  # the planted support certifies
+    flipped = right * np.where(np.arange(12) == 1, -1.0, 1.0)
+    assert polish(A, flipped) is None  # a wrong sign
+    shifted = np.zeros(12)
+    shifted[[0, 2]] = [1.0, -1.0]
+    assert polish(A, shifted) is None  # a wrong support
+    missing = np.zeros(12)
+    missing[0] = 1.0
+    assert polish(A, missing) is None  # a support that misses an index
+    assert polish(A, np.ones(12)) is None  # |S| > m
+    both = right.copy()
+    both[2] = 1.0
+    dup = A.copy()
+    dup[:, 2] = dup[:, 0]  # A_S with two equal columns
+    assert polish(dup, both) is None
+    dependent = A.copy()
+    dependent[:, 2] = A[:, 0] - 0.5 * A[:, 1]  # A_S of rank two
+    dependent[:, 2] /= np.linalg.norm(dependent[:, 2])
+    assert polish(dependent, both) is None
