@@ -5,8 +5,11 @@ Null space ratios are exact for real matrices: taken over the vertex
 directions of the kernel polytope when there are few enough of them, by
 linear programs over the kernel basis (one per sign pattern) otherwise.
 Complex matrices get a lower bound from a phase-aware projected ascent with
-deterministic restarts. Restricted isometry constants come from eigenvalue
-extremes of column submatrices over the maximal admissible supports.
+deterministic restarts, run in lockstep: every restart of every support in a
+block of the enumeration is one lane of a numpy batch, and a tick steps all
+live lanes with one product against the kernel basis. Restricted isometry
+constants come from eigenvalue extremes of column submatrices over the
+maximal admissible supports.
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ def _max_wl1_ratio_real(B, S, comp, w_arr) -> tuple[float, np.ndarray]:
 
 
 def _max_l2_ratio_real(B, S, comp, w_arr, seed: int, restarts: int) -> tuple[float, np.ndarray]:
-    """Sup of ||v_S||_2 with ||v_comp||_{w,1} <= 1 by alternating direction LPs."""
+    """Sup of ||v_S||_2 with ||v_comp||_{w,1} <= 1 by alternating direction LPs,
+    with the kernel coefficients attaining it."""
     A_ub, b_ub, bounds = _offsupport_lp_parts(B, list(comp), w_arr)
     d = B.shape[1]
     rng = np.random.default_rng(seed)
@@ -209,7 +213,7 @@ def _max_l2_ratio_real(B, S, comp, w_arr, seed: int, restarts: int) -> tuple[flo
             a_vec = u @ B[list(S), :]
             val, c = _lp_max_linear(a_vec, A_ub, b_ub, bounds, d)
             if math.isinf(val):
-                return math.inf, B[:, 0]
+                return math.inf, np.eye(d)[0]
             vS = (B @ c)[list(S)]
             val = float(np.linalg.norm(vS))
             if val <= val_prev * (1 + 1e-12):
@@ -219,104 +223,144 @@ def _max_l2_ratio_real(B, S, comp, w_arr, seed: int, restarts: int) -> tuple[flo
         if c_prev is not None and val_prev > best:
             best = val_prev
             best_c = c_prev
-    return best, B @ best_c
+    return best, best_c
 
 
-def _ratio_ascent_complex(
-    B, S, comp, w_arr, numerator: str, seed: int, restarts: int = _ASCENT_RESTARTS
-) -> tuple[float, np.ndarray]:
-    """Projected ascent on f(Bc)/g(Bc) over complex kernel coefficients.
+def _ratio_ascent(
+    B, supports, w_arr, numerator: str, seed: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Projected ascent on f(Bc)/g(Bc) over complex kernel coefficients,
+    every restart of every support in one lockstep batch.
 
-    Returns a lower bound on the supremum; deterministic restarts make the
-    value reproducible. Objective tolerance is about 1e-8 on these scales.
+    f is ||v_S||_{w,1} ("wl1") or ||v_S||_2 ("l2") and g is
+    ||v_{S^c}||_{w,1}, with v = Bc. Support k restarts from its first
+    min(|S|, 4) rows of B conjugated, then from draws of
+    default_rng(seed + k); a start of norm zero or with g < 1e-13 is
+    skipped. Each (support, restart) pair is a lane. A tick gives every
+    lane whose last step was taken a new ascent direction, then tries one
+    normalised step on every live lane in a single product with B, with
+    per-lane on- and off-support weight rows, so supports of mixed sizes
+    share the batch. A step is taken when it raises the ratio by more than
+    one part in 1e-15, which doubles it up to 1; otherwise it is halved.
+    A lane stops when its direction vanishes, its step falls to 1e-12,
+    three taken steps in a row gain at most 1e-12 relative, or after 300
+    directions.
+
+    Returns, per support, the best ratio over its restarts (the first
+    maximum; 0 when none is positive), a lower bound on the supremum that
+    deterministic restarts make reproducible; the coefficients attaining
+    it (e_0 where the bound is 0); and the number of lane objective
+    evaluations. The objective tolerance is about 1e-8 on these scales.
     """
-    d = B.shape[1]
-    Sl = list(S)
-    cl = list(comp)
-    Bn = B[Sl, :]
-    Bd = B[cl, :]
-    wn = w_arr[Sl]
-    wd = w_arr[cl]
+    n, d = B.shape
+    K, R = len(supports), _ASCENT_RESTARTS
     tiny = 1e-300
-    rng = np.random.default_rng(seed)
+    inside = np.zeros((K, n), dtype=bool)
+    starts = np.empty((K, R, d), dtype=complex)
+    for k, S in enumerate(supports):
+        inside[k, list(S)] = True
+        q = min(len(S), 4)
+        starts[k, :q] = B[list(S[:q])].conj()
+        draws = np.random.default_rng(seed + k).standard_normal((R - q, 2, d))
+        starts[k, q:] = draws[:, 0] + 1j * draws[:, 1]
+    on = np.where(inside, w_arr, 0.0) if numerator == "wl1" else inside.astype(float)
+    off = np.where(inside, 0.0, w_arr)
+    Bt, Bh = B.T, B.conj()
 
-    def evaluate(c):
-        vn = Bn @ c
-        vd = Bd @ c
-        f = float(np.linalg.norm(vn)) if numerator == "l2" else float(wn @ np.abs(vn))
-        g = float(wd @ np.abs(vd))
-        return f, g
-
-    def ascent_dir(c, f, g):
-        vn = Bn @ c
-        vd = Bd @ c
+    def evaluate(C, sup):
+        V = C @ Bt
+        mod = np.abs(V)
         if numerator == "l2":
-            hf = (Bn.conj().T @ vn) / max(f, tiny)
+            f = np.sqrt(np.einsum("ij,ij->i", on[sup], mod * mod))
         else:
-            un = vn / np.maximum(np.abs(vn), tiny)
-            hf = Bn.conj().T @ (wn * un)
-        ud = vd / np.maximum(np.abs(vd), tiny)
-        hg = Bd.conj().T @ (wd * ud)
-        return (g * hf - f * hg) / max(g * g, tiny)
+            f = np.einsum("ij,ij->i", on[sup], mod)
+        return V, mod, f, np.einsum("ij,ij->i", off[sup], mod)
 
-    starts = []
-    for i in range(min(len(Sl), 4)):
-        starts.append(Bn[i, :].conj())
-    while len(starts) < restarts:
-        starts.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    def direction(V, mod, f, g, sup):
+        # gradient of f/g: (g grad f - f grad g) / g^2, in one product with B
+        U = V / np.maximum(mod, tiny)
+        if numerator == "l2":
+            rows = (g / np.maximum(f, tiny))[:, None] * on[sup] * V - f[:, None] * off[sup] * U
+        else:
+            rows = (g[:, None] * on[sup] - f[:, None] * off[sup]) * U
+        D = (rows @ Bh) / np.maximum(g * g, tiny)[:, None]
+        dn = np.linalg.norm(D, axis=1)
+        return D / np.maximum(dn, 1e-14)[:, None], dn < 1e-14
 
-    best = 0.0
-    best_c = None
-    for c0 in starts:
-        nrm = np.linalg.norm(c0)
-        if nrm < tiny:
-            continue
-        c = c0.astype(complex) / nrm
-        f, g = evaluate(c)
-        if g < 1e-13:
-            continue
-        phi = f / g
-        step = 0.5  # adaptive: grows on success, halves on failure
-        stall = 0
-        for _ in range(_ASCENT_ITERS):
-            direction = ascent_dir(c, f, g)
-            dn = np.linalg.norm(direction)
-            if dn < 1e-14:
-                break
-            improved = False
-            while step > 1e-12:
-                c_new = c + step * direction / dn
-                c_new = c_new / np.linalg.norm(c_new)
-                f2, g2 = evaluate(c_new)
-                if g2 > 1e-13 and f2 / g2 > phi * (1 + 1e-15):
-                    gain = f2 / g2 - phi
-                    c, f, g, phi = c_new, f2, g2, f2 / g2
-                    improved = True
-                    step = min(step * 2.0, 1.0)
-                    stall = stall + 1 if gain <= 1e-12 * phi else 0
-                    break
-                step *= 0.5
-            if not improved or stall >= 3:
-                break
-        if phi > best:
-            best = phi
-            best_c = c
-    if best_c is None:
-        return 0.0, B[:, 0]
-    v = B @ best_c
-    g = float(wd @ np.abs(v[cl]))
-    return best, v / g if g > tiny else v
+    ratio = np.zeros(K * R)
+    coeff = np.zeros((K * R, d), dtype=complex)
+    C = starts.reshape(K * R, d)
+    nrm = np.linalg.norm(C, axis=1)
+    lane = np.flatnonzero(nrm >= tiny)
+    C = C[lane] / nrm[lane, None]
+    V, mod, f, g = evaluate(C, lane // R)
+    evaluations = len(lane)
+    keep = g >= 1e-13
+    lane, C, V, mod, f, g = lane[keep], C[keep], V[keep], mod[keep], f[keep], g[keep]
+    L = len(lane)
+    phi = f / g
+    step = np.full(L, 0.5)
+    stall = np.zeros(L, dtype=int)
+    iters = np.ones(L, dtype=int)
+    D, done = direction(V, mod, f, g, lane // R)
+
+    while True:
+        if done.any():
+            ratio[lane[done]] = phi[done]
+            coeff[lane[done]] = C[done]
+            keep = ~done
+            lane, C, f, g, phi = lane[keep], C[keep], f[keep], g[keep], phi[keep]
+            step, stall, iters, D = step[keep], stall[keep], iters[keep], D[keep]
+            L = len(lane)
+        if not L:
+            break
+        Cn = C + step[:, None] * D
+        Cn /= np.linalg.norm(Cn, axis=1)[:, None]
+        sup = lane // R
+        V, mod, f2, g2 = evaluate(Cn, sup)
+        evaluations += L
+        live = g2 > 1e-13
+        r2 = np.divide(f2, g2, out=np.zeros(L), where=live)
+        acc = live & (r2 > phi * (1 + 1e-15))
+        gain = r2 - phi
+        C[acc], f[acc], g[acc], phi[acc] = Cn[acc], f2[acc], g2[acc], r2[acc]
+        stall = np.where(acc, np.where(gain <= 1e-12 * r2, stall + 1, 0), stall)
+        step = np.where(acc, np.minimum(step * 2.0, 1.0), step * 0.5)
+        done = np.where(acc, (stall >= 3) | (iters >= _ASCENT_ITERS), step <= 1e-12)
+        # a taken step that does not end the lane sets its next direction
+        i = np.flatnonzero(acc & ~done)
+        if i.size:
+            D[i], done[i] = direction(V[i], mod[i], f2[i], g2[i], sup[i])
+            iters[i] += 1
+
+    ratio = ratio.reshape(K, R)
+    j = np.argmax(ratio, axis=1)
+    best = ratio[np.arange(K), j]
+    coeffs = coeff.reshape(K, R, d)[np.arange(K), j]
+    coeffs[best <= 0.0] = np.eye(d)[0]
+    return best, coeffs, evaluations
 
 
-def _max_kernel_ratio(B, S, comp, w_arr, numerator: str, seed: int) -> tuple[float, np.ndarray]:
-    hidden = _hidden_kernel_vector(B, comp)
-    if hidden is not None:
-        return math.inf, hidden
-    if np.iscomplexobj(B):
-        return _ratio_ascent_complex(B, S, comp, w_arr, numerator, seed)
-    if numerator == "l2":
-        return _max_l2_ratio_real(B, S, comp, w_arr, seed, restarts=4)
-    return _max_wl1_ratio_real(B, S, comp, w_arr)
+def _ascent_blocks(B, supports):
+    """Supports in enumeration order, in blocks of the lockstep ascent.
+
+    A block holds up to _VERTEX_BLOCK lane x index entries. Yields (first,
+    block, hidden): first is the enumeration index of block[0], and hidden
+    is a kernel vector living inside block[-1], where the block and the
+    scan end at the first support hiding one, else None.
+    """
+    n = B.shape[0]
+    size = max(1, _VERTEX_BLOCK // (_ASCENT_RESTARTS * n))
+    supports = iter(supports)
+    first = 0
+    while block := list(islice(supports, size)):
+        for h, S in enumerate(block):
+            hidden = _hidden_kernel_vector(B, complement(S, n))
+            if hidden is not None:
+                yield first, block[: h + 1], hidden
+                return
+        yield first, block, None
+        first += len(block)
 
 
 def _vertex_scan_fits(B: np.ndarray) -> bool:
@@ -368,13 +412,15 @@ def _vertex_ratios(B, w_arr, supports, numerator: str) -> tuple[np.ndarray, np.n
     return best, best_c, len(rows)
 
 
-def _vertex_witness(B, comp, w_arr, c, ratio: float) -> np.ndarray:
-    """The kernel vector B c, scaled to off-support mass one when it has any."""
+def _kernel_witness(B, comp, w_arr, c, ratio: float) -> np.ndarray:
+    """The kernel vector B c, scaled to off-support mass one when it has any;
+    the hidden kernel vector when the ratio is infinite."""
     v = B @ c
     if math.isinf(ratio):
         hidden = _hidden_kernel_vector(B, comp)
         return hidden if hidden is not None else v / np.linalg.norm(v)
-    return v / float(w_arr[list(comp)] @ np.abs(v[list(comp)]))
+    g = float(w_arr[list(comp)] @ np.abs(v[list(comp)]))
+    return v / g if g > 0.0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +434,9 @@ class NspResult:
     supports_pruned counts the maximal supports whose upper bound ruled them
     out without a linear program; lp_calls counts every linear program,
     including the per-index bounds; kernel_vertices counts the vertex
-    directions evaluated instead (0 on the linear program and complex paths).
+    directions evaluated instead (0 on the linear program and complex paths);
+    ascent_evaluations counts the lane objective evaluations of the complex
+    ratio ascent (0 on the real paths).
     """
 
     gamma: float
@@ -402,6 +450,7 @@ class NspResult:
     supports_pruned: int = 0
     lp_calls: int = 0
     kernel_vertices: int = 0
+    ascent_evaluations: int = 0
 
 
 def _per_index_bounds(B: np.ndarray, w_arr: np.ndarray) -> np.ndarray:
@@ -437,7 +486,7 @@ def _nsp_vertices(B, prof, model, s, cap) -> NspResult:
         gamma=gamma,
         satisfied=gamma < 1.0 - CERTIFICATION_MARGIN,
         attaining_support=S,
-        witness=_vertex_witness(B, complement(S, n), prof.w, coeffs[k], gamma),
+        witness=_kernel_witness(B, complement(S, n), prof.w, coeffs[k], gamma),
         supports_examined=k + 1 if math.isinf(gamma) else len(supports),
         kernel_dim=kdim,
         order=s,
@@ -518,7 +567,8 @@ def nsp_constant(
     ratio over those directions and every maximal support, in closed form;
     the witness then has off-support mass one. Above the budget, linear
     programs per sign pattern run on the supports that per-index bounds do
-    not rule out. Complex kernels run the ratio ascent on every support.
+    not rule out. Complex kernels run the lockstep ratio ascent on every
+    support, which bounds gamma from below only.
     """
     A = as_matrix(A)
     n = A.shape[1]
@@ -529,23 +579,40 @@ def nsp_constant(
         return NspResult(0.0, True, None, None, 0, 0, s, model)
     if _vertex_scan_fits(B):
         return _nsp_vertices(B, prof, model, s, cap)
-    if not np.iscomplexobj(B):
-        return _nsp_real(B, prof, model, s, cap)
+    if np.iscomplexobj(B):
+        return _nsp_complex(B, prof, model, s, cap, seed)
+    return _nsp_real(B, prof, model, s, cap)
 
+
+def _nsp_complex(B, prof, model, s, cap, seed) -> NspResult:
+    """Lower bound on the complex constant by the lockstep ratio ascent.
+
+    Supports run in blocks of the enumeration order. A support hiding a
+    kernel vector ends the scan before its block runs the ascent, and the
+    first support attaining the largest ratio wins, so the support, the
+    count and the seeds (seed + enumeration index + 1) are those of an
+    in-order scan.
+    """
+    n, kdim = B.shape
     best = 0.0
     best_support: tuple[int, ...] | None = None
     witness: np.ndarray | None = None
-    count = 0
-    for S in maximal_admissible_supports(n, prof, model, s, cap=cap):
-        count += 1
-        comp = complement(S, n)
-        val, v = _max_kernel_ratio(B, S, comp, prof.w, "wl1", seed + count)
-        if math.isinf(val):
-            return NspResult(math.inf, False, S, v, count, kdim, s, model)
-        if val > best:
-            best = val
-            best_support = S
-            witness = v
+    count = evaluations = 0
+    for first, block, hidden in _ascent_blocks(
+        B, maximal_admissible_supports(n, prof, model, s, cap=cap)
+    ):
+        count = first + len(block)
+        if hidden is not None:
+            return NspResult(
+                math.inf, False, block[-1], hidden, count, kdim, s, model,
+                ascent_evaluations=evaluations,
+            )
+        ratios, coeffs, evals = _ratio_ascent(B, block, prof.w, "wl1", seed + first + 1)
+        evaluations += evals
+        k = int(np.argmax(ratios))
+        if ratios[k] > best:
+            best, best_support = float(ratios[k]), block[k]
+            witness = _kernel_witness(B, complement(block[k], n), prof.w, coeffs[k], best)
     return NspResult(
         gamma=best,
         satisfied=best < 1.0 - CERTIFICATION_MARGIN,
@@ -555,6 +622,7 @@ def nsp_constant(
         kernel_dim=kdim,
         order=s,
         model=model,
+        ascent_evaluations=evaluations,
     )
 
 
@@ -653,6 +721,36 @@ def _offkernel_search(
     return best, best_v, best_S
 
 
+def _robust_kernel_ratios(B, supports, w_arr, seed):
+    """Kernel ratios ||v_S||_2 / ||v_{S^c}||_{w,1} in enumeration order.
+
+    Yields (block, ratios, coeffs) with the kernel coefficients attaining
+    each ratio; the ratio is infinite on a support hiding a kernel vector,
+    and a complex scan ends there.
+    """
+    n, d = B.shape
+    if np.iscomplexobj(B):
+        for first, block, hidden in _ascent_blocks(B, supports):
+            run = block if hidden is None else block[:-1]
+            ratios, coeffs, _ = _ratio_ascent(B, run, w_arr, "l2", seed + first + 1)
+            if hidden is not None:
+                # the witness of an infinite ratio is the hidden vector itself
+                ratios = np.append(ratios, math.inf)
+                coeffs = np.vstack([coeffs, np.eye(d)[:1]])
+            yield block, ratios, coeffs
+    elif _vertex_scan_fits(B):
+        ratios, coeffs, _ = _vertex_ratios(B, w_arr, supports, "l2")
+        yield supports, ratios, coeffs
+    else:
+        for k, S in enumerate(supports):
+            comp = complement(S, n)
+            if _hidden_kernel_vector(B, comp) is not None:
+                yield [S], [math.inf], np.eye(d)[:1]
+            else:
+                val, c = _max_l2_ratio_real(B, S, comp, w_arr, seed + k + 1, restarts=4)
+                yield [S], [val], [c]
+
+
 def check_robust_nsp_kernel(
     A,
     w,
@@ -686,22 +784,13 @@ def check_robust_nsp_kernel(
     B = null_space_basis(A)
     count = 0
     max_ratio = 0.0
-    if B.shape[1] > 0:
-        exact = bool(supports) and _vertex_scan_fits(B)
-        if exact:
-            ratios, coeffs, _ = _vertex_ratios(B, prof.w, supports, "l2")
-        for S in supports:
+    blocks = _robust_kernel_ratios(B, supports, prof.w, seed) if B.shape[1] and supports else ()
+    for block, ratios, coeffs in blocks:
+        for k, val in enumerate(map(float, ratios)):
             count += 1
-            comp = complement(S, n)
-            if exact:
-                val, v = float(ratios[count - 1]), None
-            else:
-                val, v = _max_kernel_ratio(B, S, comp, prof.w, "l2", seed + count)
-            if val > max_ratio:
-                max_ratio = val
+            max_ratio = max(max_ratio, val)
             if val > threshold * (1.0 + 1e-9) + tol:
-                if v is None:
-                    v = _vertex_witness(B, comp, prof.w, coeffs[count - 1], val)
+                S = block[k]
                 return RobustNspReport(
                     status="violated",
                     order=s,
@@ -710,7 +799,7 @@ def check_robust_nsp_kernel(
                     threshold=threshold,
                     max_kernel_ratio=val,
                     witness_support=S,
-                    witness_vector=v,
+                    witness_vector=_kernel_witness(B, complement(S, n), prof.w, coeffs[k], val),
                     supports_examined=count,
                     search_margin=None,
                 )

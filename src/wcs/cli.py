@@ -304,6 +304,7 @@ def cmd_certify(cfg: dict[str, Any], out_dir: Path | None, started: float) -> in
             "supports_pruned": result.supports_pruned,
             "lp_calls": result.lp_calls,
             "kernel_vertices": result.kernel_vertices,
+            "ascent_evaluations": result.ascent_evaluations,
         }
     elif prop == "robust-nsp":
         if model is not SparseModel.WEIGHTED_CARDINALITY:

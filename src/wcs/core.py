@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -211,11 +212,22 @@ def maximal_admissible_supports(
 
     Quantities that are monotone under support inclusion (restricted
     isometry extremes, null space ratios) attain their extrema on these.
+    Under the cardinality model they are the subsets of size min(s, N) in
+    lexicographic order; the weighted model searches depth-first in the
+    same order.
     """
     prof = as_weights(w, n)
     _check_cap(n, cap, "support enumeration")
     budget, costs = _budget_and_costs(prof, model, s)
+    if model is SparseModel.CARDINALITY:
+        yield from combinations(range(n), min(int(budget), n))
+    else:
+        yield from _maximal_supports_depth_first(costs, budget)
 
+
+def _maximal_supports_depth_first(costs: np.ndarray, budget: float) -> Iterator[tuple[int, ...]]:
+    """Maximal supports under per-index costs, depth-first in lexicographic order."""
+    n = len(costs)
     prefix: list[int] = []
 
     def rec(start: int, used: float, min_skipped: float) -> Iterator[tuple[int, ...]]:

@@ -14,6 +14,7 @@ from wcs.core import (
     PartitionBoundError,
     SparseModel,
     WeightProfile,
+    _maximal_supports_depth_first,
     as_matrix,
     best_weighted_s_term,
     build_partition,
@@ -222,6 +223,15 @@ def test_maximal_supports_match_bruteforce():
         expect = sorted(S for S in all_sup if is_maximal(S))
         got = sorted(maximal_admissible_supports(n, w, model, s))
         assert got == expect
+
+
+def test_cardinality_supports_match_the_depth_first_search():
+    """The cardinality model's combinations are the depth-first search's
+    supports, in the same order."""
+    for n in range(1, 13):
+        for s in range(1, n + 2):
+            want = list(_maximal_supports_depth_first(np.ones(n), float(s)))
+            assert list(maximal_admissible_supports(n, np.ones(n), CARD, s)) == want
 
 
 def test_complement():
