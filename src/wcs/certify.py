@@ -7,15 +7,17 @@ linear programs over the kernel basis (one per sign pattern) otherwise.
 Complex matrices get a lower bound from a phase-aware projected ascent with
 deterministic restarts, run in lockstep: every restart of every support in a
 block of the enumeration is one lane of a numpy batch, and a tick steps all
-live lanes with one product against the kernel basis. Restricted isometry
-constants come from eigenvalue extremes of column submatrices over the
-maximal admissible supports.
+live lanes with one product against the kernel basis. The off-kernel
+falsification search of the robust property runs its starts in lockstep the
+same way. Restricted isometry constants come from eigenvalue extremes of
+column submatrices over the maximal admissible supports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -363,6 +365,14 @@ def _ascent_blocks(B, supports):
         first += len(block)
 
 
+def _indicator(supports, n: int) -> np.ndarray:
+    """One row per support, 1.0 on its indices and 0.0 elsewhere."""
+    rows = np.zeros((len(supports), n))
+    for k, S in enumerate(supports):
+        rows[k, list(S)] = 1.0
+    return rows
+
+
 def _vertex_scan_fits(B: np.ndarray) -> bool:
     n, d = B.shape
     return not np.iscomplexobj(B) and math.comb(n, d - 1) <= _VERTEX_BUDGET
@@ -384,9 +394,7 @@ def _vertex_ratios(B, w_arr, supports, numerator: str) -> tuple[np.ndarray, np.n
     rows = np.array(list(combinations(range(n), d - 1)), dtype=np.intp)
     rows = rows.reshape(len(rows), d - 1)
     K = len(supports)
-    inside = np.zeros((K, n))
-    for k, S in enumerate(supports):
-        inside[k, list(S)] = 1.0
+    inside = _indicator(supports, n)
     outside = 1.0 - inside
     best = np.full(K, -np.inf)
     best_c = np.zeros((K, d))
@@ -632,7 +640,15 @@ def _nsp_complex(B, prof, model, s, cap, seed) -> NspResult:
 
 @dataclass(frozen=True)
 class RobustNspReport:
-    """Outcome of the kernel certification plus the off-kernel search."""
+    """Outcome of the kernel certification plus the off-kernel search.
+
+    kernel_path names how the kernel ratios were found: "vertex" (exact,
+    over kernel_vertices vertex directions), "lp" (alternating direction
+    linear programs), "ascent" (the complex ratio ascent) or "none" (a
+    trivial kernel or no admissible support). offkernel_starts counts the
+    lanes of the off-kernel search and offkernel_evaluations their margin
+    evaluations (both 0 when the search does not run).
+    """
 
     status: str  # "certified-on-kernel" | "violated" | "undecided-off-kernel"
     order: float
@@ -644,6 +660,10 @@ class RobustNspReport:
     witness_vector: np.ndarray | None
     supports_examined: int
     search_margin: float | None
+    kernel_path: str = "none"  # "vertex" | "lp" | "ascent" | "none"
+    kernel_vertices: int = 0
+    offkernel_starts: int = 0
+    offkernel_evaluations: int = 0
 
     @property
     def satisfied(self) -> bool | None:
@@ -656,72 +676,114 @@ class RobustNspReport:
 
 def _offkernel_search(
     A, prof, supports, threshold, gamma, samples, seed
-) -> tuple[float, np.ndarray | None, tuple[int, ...] | None]:
-    """Gradient-ascent falsification of the full robust property off the kernel."""
+) -> tuple[float, np.ndarray | None, tuple[int, ...] | None, int]:
+    """Gradient-ascent falsification of the full robust property off the
+    kernel, every start one lane of a lockstep batch.
+
+    The margin of a unit v on S is ||v_S||_2 - threshold ||v_{S^c}||_{w,1} -
+    gamma ||Av||_2. The starts are the first min(N, 8) unit vectors, then
+    `samples` draws of default_rng(seed) (real and imaginary parts in turn
+    on complex data), normalised. Each lane keeps the support on which its
+    start has the largest margin, the first on ties; those margins are
+    evaluated in blocks of _VERTEX_BLOCK lane x support entries. A tick
+    gives every lane whose last step was taken its gradient and a step of
+    0.25, then tries one normalised step on every live lane at once. A step
+    is taken when it raises the margin by more than 1e-15, otherwise it is
+    halved. A lane stops when its gradient norm falls below 1e-13, its step
+    to 1e-10, or after 60 taken steps.
+
+    Returns the largest final margin (the first lane attaining it), its unit
+    vector and support, and the number of lane margin evaluations, the
+    start of each lane counting once; (-inf, None, None, 0) without
+    supports.
+    """
     n = A.shape[1]
-    complex_data = np.iscomplexobj(A)
-    rng = np.random.default_rng(seed)
+    if not supports:
+        return -math.inf, None, None, 0
+    w_arr = prof.w
+    tiny = 1e-300
+    draws = np.random.default_rng(seed).standard_normal(
+        (samples, 2, n) if np.iscomplexobj(A) else (samples, n)
+    )
+    if draws.ndim == 3:
+        draws = draws[:, 0] + 1j * draws[:, 1]
+    V = np.vstack([np.eye(n, dtype=draws.dtype)[: min(n, 8)], draws])
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    L = len(V)
+    At, Ah = A.T, A.conj()
 
-    def margin(v, S):
-        comp = complement(S, n)
-        off = float(prof.w[list(comp)] @ np.abs(v[list(comp)])) if comp else 0.0
-        return float(np.linalg.norm(v[list(S)])) - threshold * off - gamma * float(
-            np.linalg.norm(A @ v)
-        )
+    # the support of each lane: first largest start margin, block by block
+    mod = np.abs(V)
+    square, mass = mod * mod, w_arr * mod
+    matrix_term = gamma * np.linalg.norm(V @ At, axis=1)
+    top = np.full(L, -math.inf)
+    chosen = np.zeros(L, dtype=np.intp)
+    size = max(1, _VERTEX_BLOCK // L)
+    for lo in range(0, len(supports), size):
+        inside = _indicator(supports[lo : lo + size], n)
+        m = np.sqrt(square @ inside.T) - threshold * (mass @ (1.0 - inside).T)
+        m -= matrix_term[:, None]
+        j = np.argmax(m, axis=1)
+        better = m[np.arange(L), j] > top
+        top[better] = m[better, j[better]]
+        chosen[better] = lo + j[better]
+    inside = _indicator([supports[k] for k in chosen], n)
+    off_w = (1.0 - inside) * w_arr
 
-    def margin_grad(v, S):
-        tiny = 1e-300
-        g = np.zeros(n, dtype=v.dtype)
-        Sl = list(S)
-        vS = v[Sl]
-        g[Sl] += vS / max(np.linalg.norm(vS), tiny)
-        comp = list(complement(S, n))
-        if comp:
-            g[comp] -= threshold * prof.w[comp] * (v[comp] / np.maximum(np.abs(v[comp]), tiny))
-        Av = A @ v
-        nAv = np.linalg.norm(Av)
-        if nAv > tiny:
-            g -= gamma * (A.conj().T @ Av) / nAv
-        return g
+    def margin(V, lanes):
+        mod = np.abs(V)
+        on = np.sqrt(np.einsum("ij,ij->i", inside[lanes], mod * mod))
+        off = np.einsum("ij,ij->i", off_w[lanes], mod)
+        return on - threshold * off - gamma * np.linalg.norm(V @ At, axis=1)
 
-    starts = [np.eye(n, dtype=complex if complex_data else float)[i] for i in range(min(n, 8))]
-    for _ in range(samples):
-        v = rng.standard_normal(n)
-        if complex_data:
-            v = v + 1j * rng.standard_normal(n)
-        starts.append(v)
+    def gradient(V, lanes):
+        mod = np.abs(V)
+        on = np.sqrt(np.einsum("ij,ij->i", inside[lanes], mod * mod))
+        G = inside[lanes] * V / np.maximum(on, tiny)[:, None]
+        G -= threshold * off_w[lanes] * (V / np.maximum(mod, tiny))
+        AV = V @ At
+        nAV = np.linalg.norm(AV, axis=1)
+        hit = nAV > tiny
+        G[hit] -= gamma * (AV[hit] @ Ah) / nAV[hit, None]
+        return G
 
-    best = -math.inf
-    best_v = None
-    best_S = None
-    for v0 in starts:
-        v = v0 / np.linalg.norm(v0)
-        S = max(supports, key=lambda S_: margin(v, S_))
-        m = margin(v, S)
-        for _ in range(60):
-            g = margin_grad(v, S)
-            gn = np.linalg.norm(g)
-            if gn < 1e-13:
-                break
-            step = 0.25
-            improved = False
-            while step > 1e-10:
-                v_new = v + step * g / gn
-                v_new = v_new / np.linalg.norm(v_new)
-                m_new = margin(v_new, S)
-                if m_new > m + 1e-15:
-                    v, m = v_new, m_new
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if m > best:
-            best, best_v, best_S = m, v, S
-    return best, best_v, best_S
+    every = np.arange(L)
+    m = margin(V, every)
+    evaluations = L
+    G = np.zeros_like(V)
+    gn = np.zeros(L)
+    step = np.zeros(L)
+    taken = np.zeros(L, dtype=int)
+    live = np.ones(L, dtype=bool)
+    fresh = every
+    while True:
+        # a lane whose last step was taken starts a new line search
+        if fresh.size:
+            G[fresh] = gradient(V[fresh], fresh)
+            gn[fresh] = np.linalg.norm(G[fresh], axis=1)
+            step[fresh] = 0.25
+            live[fresh[gn[fresh] < 1e-13]] = False
+        lanes = np.flatnonzero(live)
+        if not lanes.size:
+            break
+        Vn = V[lanes] + step[lanes, None] * G[lanes] / gn[lanes, None]
+        Vn /= np.linalg.norm(Vn, axis=1)[:, None]
+        mn = margin(Vn, lanes)
+        evaluations += lanes.size
+        acc = mn > m[lanes] + 1e-15
+        fresh = lanes[acc]
+        V[fresh], m[fresh] = Vn[acc], mn[acc]
+        taken[fresh] += 1
+        live[fresh[taken[fresh] >= 60]] = False
+        fresh = fresh[live[fresh]]
+        halved = lanes[~acc]
+        step[halved] *= 0.5
+        live[halved[step[halved] <= 1e-10]] = False
+    j = int(np.argmax(m))
+    return float(m[j]), V[j].copy(), supports[chosen[j]], evaluations
 
 
-def _robust_kernel_ratios(B, supports, w_arr, seed):
+def _robust_kernel_ratios(B, supports, w_arr, seed, path: str):
     """Kernel ratios ||v_S||_2 / ||v_{S^c}||_{w,1} in enumeration order.
 
     Yields (block, ratios, coeffs) with the kernel coefficients attaining
@@ -729,7 +791,7 @@ def _robust_kernel_ratios(B, supports, w_arr, seed):
     and a complex scan ends there.
     """
     n, d = B.shape
-    if np.iscomplexobj(B):
+    if path == "ascent":
         for first, block, hidden in _ascent_blocks(B, supports):
             run = block if hidden is None else block[:-1]
             ratios, coeffs, _ = _ratio_ascent(B, run, w_arr, "l2", seed + first + 1)
@@ -738,7 +800,7 @@ def _robust_kernel_ratios(B, supports, w_arr, seed):
                 ratios = np.append(ratios, math.inf)
                 coeffs = np.vstack([coeffs, np.eye(d)[:1]])
             yield block, ratios, coeffs
-    elif _vertex_scan_fits(B):
+    elif path == "vertex":
         ratios, coeffs, _ = _vertex_ratios(B, w_arr, supports, "l2")
         yield supports, ratios, coeffs
     else:
@@ -771,8 +833,9 @@ def check_robust_nsp_kernel(
     largest ratio over them, as in nsp_constant). Above the budget, real
     data runs alternating direction LPs and complex data the ratio ascent;
     both only bound the ratio from below, so a kernel violation can then be
-    missed. Off the kernel only a randomized falsification search runs:
-    samples=0 skips it and the report stays undecided off kernel.
+    missed. Off the kernel only a randomized falsification search runs, the
+    lockstep gradient ascent of _offkernel_search: samples=0 skips it and
+    the report stays undecided off kernel.
     """
     A = as_matrix(A)
     n = A.shape[1]
@@ -782,39 +845,55 @@ def check_robust_nsp_kernel(
         maximal_admissible_supports(n, prof, SparseModel.WEIGHTED_CARDINALITY, s, cap=cap)
     )
     B = null_space_basis(A)
+    d = B.shape[1]
+    path = "none"
+    if d and supports:
+        path = "ascent" if np.iscomplexobj(B) else "vertex" if _vertex_scan_fits(B) else "lp"
+    report = partial(
+        RobustNspReport,
+        order=s,
+        rho=rho,
+        gamma=gamma,
+        threshold=threshold,
+        kernel_path=path,
+        kernel_vertices=math.comb(n, d - 1) if path == "vertex" else 0,
+    )
     count = 0
     max_ratio = 0.0
-    blocks = _robust_kernel_ratios(B, supports, prof.w, seed) if B.shape[1] and supports else ()
+    blocks = _robust_kernel_ratios(B, supports, prof.w, seed, path) if path != "none" else ()
     for block, ratios, coeffs in blocks:
         for k, val in enumerate(map(float, ratios)):
             count += 1
             max_ratio = max(max_ratio, val)
             if val > threshold * (1.0 + 1e-9) + tol:
                 S = block[k]
-                return RobustNspReport(
+                return report(
                     status="violated",
-                    order=s,
-                    rho=rho,
-                    gamma=gamma,
-                    threshold=threshold,
                     max_kernel_ratio=val,
                     witness_support=S,
                     witness_vector=_kernel_witness(B, complement(S, n), prof.w, coeffs[k], val),
                     supports_examined=count,
                     search_margin=None,
                 )
+    found = partial(report, max_kernel_ratio=max_ratio, supports_examined=count)
     if samples <= 0:
-        return RobustNspReport(
-            "undecided-off-kernel", s, rho, gamma, threshold, max_ratio,
-            None, None, count, None,
+        return found(
+            status="undecided-off-kernel",
+            witness_support=None,
+            witness_vector=None,
+            search_margin=None,
         )
-    best, best_v, best_S = _offkernel_search(A, prof, supports, threshold, gamma, samples, seed)
-    if best > tol:
-        return RobustNspReport(
-            "violated", s, rho, gamma, threshold, max_ratio, best_S, best_v, count, best
-        )
-    return RobustNspReport(
-        "certified-on-kernel", s, rho, gamma, threshold, max_ratio, None, None, count, best
+    best, best_v, best_S, evaluations = _offkernel_search(
+        A, prof, supports, threshold, gamma, samples, seed
+    )
+    violated = best > tol
+    return found(
+        status="violated" if violated else "certified-on-kernel",
+        witness_support=best_S if violated else None,
+        witness_vector=best_v if violated else None,
+        search_margin=best,
+        offkernel_starts=min(n, 8) + samples if supports else 0,
+        offkernel_evaluations=evaluations,
     )
 
 

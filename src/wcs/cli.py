@@ -49,6 +49,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATED = 2
 
+# robust-nsp work counts that `certify` reports in its telemetry, never in its result
+ROBUST_TELEMETRY = ("kernel_path", "kernel_vertices", "offkernel_starts", "offkernel_evaluations")
 # solver diagnostics that `recover` reports in its telemetry, never in its result
 RECOVER_TELEMETRY = (
     "certified",
@@ -311,14 +313,13 @@ def cmd_certify(cfg: dict[str, Any], out_dir: Path | None, started: float) -> in
             raise ConfigError("robust-nsp certification uses the weighted-cardinality model")
         if "rho" not in cfg or "gamma" not in cfg:
             raise ConfigError("robust-nsp certification needs 'rho' and 'gamma'")
-        report = CertificationReport.from_robust(
-            check_robust_nsp_kernel(
-                A, w, s, _number(cfg["rho"], "rho"), _number(cfg["gamma"], "gamma"),
-                samples=_number(cfg.get("samples", 100), "samples", int),
-                seed=_number(cfg.get("seed", 0), "seed", int),
-            ),
-            w,
+        result = check_robust_nsp_kernel(
+            A, w, s, _number(cfg["rho"], "rho"), _number(cfg["gamma"], "gamma"),
+            samples=_number(cfg.get("samples", 100), "samples", int),
+            seed=_number(cfg.get("seed", 0), "seed", int),
         )
+        report = CertificationReport.from_robust(result, w)
+        telemetry = {k: getattr(result, k) for k in ROBUST_TELEMETRY}
     else:
         raise ConfigError(f"unknown property {prop!r}; expected rip, nsp, or robust-nsp")
     _emit("certify", report, started, out_dir, telemetry)

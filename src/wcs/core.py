@@ -6,6 +6,7 @@ functions over immutable inputs.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -213,26 +214,52 @@ def maximal_admissible_supports(
     Quantities that are monotone under support inclusion (restricted
     isometry extremes, null space ratios) attain their extrema on these.
     Under the cardinality model they are the subsets of size min(s, N) in
-    lexicographic order; the weighted model searches depth-first in the
-    same order.
+    lexicographic order. The weighted model yields the subsets of one size k
+    the same way when the costs w_i^2 decide it: the k largest sum to at
+    most the budget and the k + 1 smallest to more, each with a margin of
+    (N + 1) eps budget, so the left-to-right float sums of the search could
+    not decide otherwise. Any other weighted case searches depth-first in
+    the same order.
     """
     prof = as_weights(w, n)
     _check_cap(n, cap, "support enumeration")
     budget, costs = _budget_and_costs(prof, model, s)
     if model is SparseModel.CARDINALITY:
-        yield from combinations(range(n), min(int(budget), n))
+        k = min(int(budget), n)
     else:
+        k = _single_support_size(costs, budget)
+    if k is None:
         yield from _maximal_supports_depth_first(costs, budget)
+    elif k:
+        yield from combinations(range(n), k)
+
+
+def _single_support_size(costs: np.ndarray, budget: float) -> int | None:
+    """The size k of every maximal support when rounding cannot blur it, else None."""
+    n = len(costs)
+    ascending = np.sort(costs)
+    slack = (n + 1) * np.finfo(float).eps * budget
+    largest = np.cumsum(ascending[::-1])
+    k = int(np.searchsorted(largest, budget - slack, side="right"))
+    if k < n and np.sum(ascending[: k + 1]) <= budget + slack:
+        return None
+    return k
 
 
 def _maximal_supports_depth_first(costs: np.ndarray, budget: float) -> Iterator[tuple[int, ...]]:
     """Maximal supports under per-index costs, depth-first in lexicographic order."""
     n = len(costs)
+    costs = costs.tolist()
+    # float addition is monotone, so some index from start on fits exactly
+    # when the cheapest one does
+    cheapest = [math.inf] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        cheapest[i] = min(costs[i], cheapest[i + 1])
     prefix: list[int] = []
 
     def rec(start: int, used: float, min_skipped: float) -> Iterator[tuple[int, ...]]:
         # min_skipped: cheapest cost among indices excluded by choice so far
-        if not any(used + costs[i] <= budget for i in range(start, n)):
+        if used + cheapest[start] > budget:
             if prefix and used + min_skipped > budget:
                 yield tuple(prefix)
             return
@@ -244,7 +271,7 @@ def _maximal_supports_depth_first(costs: np.ndarray, budget: float) -> Iterator[
                 prefix.pop()
                 min_skipped = min(min_skipped, c)
 
-    yield from rec(0, 0.0, np.inf)
+    yield from rec(0, 0.0, math.inf)
 
 
 @dataclass(frozen=True)

@@ -355,6 +355,151 @@ def test_robust_kernel_undecided_when_search_skipped():
     assert report.status in ("undecided-off-kernel", "violated")
 
 
+def _offkernel_search_scalar(A, prof, supports, threshold, gamma, samples, seed):
+    """The off-kernel search one start at a time, as the program ran it
+    before the lockstep batch: the same starts, step rule and stopping rules."""
+    n = A.shape[1]
+    complex_data = np.iscomplexobj(A)
+    rng = np.random.default_rng(seed)
+
+    def margin(v, S):
+        comp = complement(S, n)
+        off = float(prof.w[list(comp)] @ np.abs(v[list(comp)])) if comp else 0.0
+        return float(np.linalg.norm(v[list(S)])) - threshold * off - gamma * float(
+            np.linalg.norm(A @ v)
+        )
+
+    def margin_grad(v, S):
+        tiny = 1e-300
+        g = np.zeros(n, dtype=v.dtype)
+        Sl = list(S)
+        vS = v[Sl]
+        g[Sl] += vS / max(np.linalg.norm(vS), tiny)
+        comp = list(complement(S, n))
+        if comp:
+            g[comp] -= threshold * prof.w[comp] * (v[comp] / np.maximum(np.abs(v[comp]), tiny))
+        Av = A @ v
+        nAv = np.linalg.norm(Av)
+        if nAv > tiny:
+            g -= gamma * (A.conj().T @ Av) / nAv
+        return g
+
+    starts = [np.eye(n, dtype=complex if complex_data else float)[i] for i in range(min(n, 8))]
+    for _ in range(samples):
+        v = rng.standard_normal(n)
+        if complex_data:
+            v = v + 1j * rng.standard_normal(n)
+        starts.append(v)
+
+    best = -math.inf
+    best_v = None
+    best_S = None
+    for v0 in starts:
+        v = v0 / np.linalg.norm(v0)
+        S = max(supports, key=lambda S_: margin(v, S_))
+        m = margin(v, S)
+        for _ in range(60):
+            g = margin_grad(v, S)
+            gn = np.linalg.norm(g)
+            if gn < 1e-13:
+                break
+            step = 0.25
+            improved = False
+            while step > 1e-10:
+                v_new = v + step * g / gn
+                v_new = v_new / np.linalg.norm(v_new)
+                m_new = margin(v_new, S)
+                if m_new > m + 1e-15:
+                    v, m = v_new, m_new
+                    improved = True
+                    break
+                step *= 0.5
+            if not improved:
+                break
+        if m > best:
+            best, best_v, best_S = m, v, S
+    return best, best_v, best_S
+
+
+def _robust_margin(A, w, S, threshold, gamma, v):
+    comp = list(complement(S, A.shape[1]))
+    return (
+        np.linalg.norm(v[list(S)])
+        - threshold * (w[comp] @ np.abs(v[comp]))
+        - gamma * np.linalg.norm(A @ v)
+    )
+
+
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+def test_offkernel_lockstep_matches_the_scalar_search(monkeypatch, complex_data):
+    """Same support and verdict as the start-by-start search, the margin to
+    rounding, whether the start margins run in one block or one support per
+    block. The columns keep distinct norms: with unit columns every unit
+    start that cannot climb ends at 1 - gamma, and rounding picks the lane."""
+    rng = np.random.default_rng(61 + complex_data)
+    for _ in range(6):
+        n = int(rng.integers(6, 11))
+        m = int(rng.integers(2, n))
+        A = rng.standard_normal((m, n))
+        if complex_data:
+            A = A + 1j * rng.standard_normal((m, n))
+        A /= math.sqrt(m)
+        prof = as_weights(rng.uniform(1.0, 1.3, n))
+        s = float(rng.uniform(1.2, 4.5))
+        supports = list(maximal_admissible_supports(n, prof, WCARD, s))
+        args = (A, prof, supports, float(rng.uniform(0.05, 1.0)) / math.sqrt(s),
+                float(rng.uniform(0.2, 5.0)), int(rng.integers(0, 12)), int(rng.integers(0, 1000)))
+        want, want_v, want_S = _offkernel_search_scalar(*args)
+        for per_block in (None, 1):
+            if per_block:
+                monkeypatch.setattr(wcs.certify, "_VERTEX_BLOCK", per_block)
+            got, v, S, evaluations = wcs.certify._offkernel_search(*args)
+            monkeypatch.undo()
+            assert S == want_S
+            assert (got > 1e-9) == (want > 1e-9)
+            assert got == pytest.approx(want, rel=1e-9)
+            assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+            assert _robust_margin(A, prof.w, S, *args[3:5], v) == pytest.approx(got, rel=1e-12)
+            assert evaluations > min(n, 8) + args[5]
+
+
+def test_robust_offkernel_search_finds_a_violation_with_witness():
+    """The kernel part certifies, and a small gamma lets the search find a
+    unit vector off the kernel that breaks the full robust property."""
+    n = 17
+    base = unitary_with_flat_first_row(n, seed=11, real=True)
+    A = sample_partial_unitary(base, n - 1, seed=12, exclude_first_row=True).matrix
+    w, s, rho, gamma = np.ones(n), 2.2, 0.9, 0.5
+    threshold = rho / math.sqrt(s)
+    report = check_robust_nsp_kernel(A, w, s, rho, gamma, samples=10, seed=3)
+    assert report.max_kernel_ratio <= threshold
+    assert report.status == "violated" and report.satisfied is False
+    assert report.search_margin > 0
+    v, S = report.witness_vector, report.witness_support
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(A @ v) > 1e-3
+    assert _robust_margin(A, w, S, threshold, gamma, v) == pytest.approx(
+        report.search_margin, rel=1e-12
+    )
+    supports = list(maximal_admissible_supports(n, w, WCARD, s))
+    want, _, want_S = _offkernel_search_scalar(A, as_weights(w), supports, threshold, gamma, 10, 3)
+    assert S == want_S
+    assert report.search_margin == pytest.approx(want, rel=1e-9)
+    assert (report.kernel_path, report.kernel_vertices, report.offkernel_starts) == ("vertex", 1, 18)
+    assert report.offkernel_evaluations > 18
+
+
+def test_robust_without_admissible_supports_is_certified():
+    """No single index fits the budget, so nothing can break the property;
+    the off-kernel search has no lane to run."""
+    A = np.random.default_rng(14).standard_normal((3, 5))
+    report = check_robust_nsp_kernel(A, np.full(5, 2.0), 1.0, rho=0.5, gamma=1.0, samples=5)
+    assert report.status == "certified-on-kernel"
+    assert (report.supports_examined, report.kernel_path) == (0, "none")
+    assert report.search_margin == -math.inf
+    assert (report.offkernel_starts, report.offkernel_evaluations) == (0, 0)
+
+
 def _l2_ratio_by_subsets(B, S, w):
     """Independent oracle: the largest ||v_S||_2 / ||v_{S^c}||_{w,1} over the
     vertices of {c : ||B_{S^c} c||_{w,1} <= 1}, one SVD per (d-1)-subset of S^c."""
@@ -966,3 +1111,40 @@ def test_certify_nsp_result_bytes_match_in_order_scan(tmp_path, capsys, config):
         "supports_pruned": expected.supports_pruned,
     }
     assert (telemetry["ascent_evaluations"] > 0) == bool(np.iscomplexobj(A))
+
+
+_README_ROBUST = {
+    "property": "robust-nsp",
+    "model": "weighted-cardinality",
+    "s": 1.5,
+    "rho": 1,
+    "gamma": 4,
+    "weights": {"kind": "random", "low": 1.0, "high": 1.05, "seed": 3},
+    "generator": {"kind": "orthogonal-rows", "n": 12, "m": 10, "seed": 0},
+}
+
+
+def test_certify_robust_nsp_result_bytes_match_the_scalar_search(tmp_path, capsys, monkeypatch):
+    """The lockstep search leaves the result bytes of the start-by-start
+    search, and its work counts go to telemetry only."""
+    path = tmp_path / "certify.json"
+    path.write_text(json.dumps(_README_ROBUST))
+    assert cli.main(["certify", "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    telemetry = report["telemetry"]
+    assert set(telemetry) == {*cli.ROBUST_TELEMETRY, "wall_time_s"}
+    assert telemetry["kernel_path"] == "vertex"
+    assert telemetry["offkernel_starts"] == 8 + 100
+    assert telemetry["offkernel_evaluations"] > 108
+
+    def scalar(*args):
+        return (*_offkernel_search_scalar(*args), 0)
+
+    monkeypatch.setattr(wcs.certify, "_offkernel_search", scalar)
+    A = cli._load_matrix(_README_ROBUST)
+    w = cli._load_weights(_README_ROBUST, A.shape[1])
+    want = CertificationReport.from_robust(check_robust_nsp_kernel(A, w, 1.5, 1.0, 4.0), w)
+    assert want.status == "certified-on-kernel"
+    assert json.dumps(report["result"], sort_keys=True) == json.dumps(
+        json.loads(json.dumps(cli._jsonable(want))), sort_keys=True
+    )

@@ -15,6 +15,7 @@ from wcs.core import (
     SparseModel,
     WeightProfile,
     _maximal_supports_depth_first,
+    _single_support_size,
     as_matrix,
     best_weighted_s_term,
     build_partition,
@@ -232,6 +233,32 @@ def test_cardinality_supports_match_the_depth_first_search():
         for s in range(1, n + 2):
             want = list(_maximal_supports_depth_first(np.ones(n), float(s)))
             assert list(maximal_admissible_supports(n, np.ones(n), CARD, s)) == want
+
+
+def test_single_size_weighted_supports_match_the_depth_first_search():
+    """Near-uniform weights give supports of one size: combinations yields
+    the depth-first search's tuples in its order, and budgets on exact float
+    boundaries, where rounding could blur the size, fall back to the search."""
+    rng = np.random.default_rng(17)
+    for n in range(1, 11):
+        for noise in (0.0, 1e-12, 0.02):
+            w = 1.0 + noise * rng.random(n)
+            costs = w * w
+            budgets = [0.5, 1.05 * n + 1.0]  # k = 0 and k = n
+            for k in range(1, n + 1):
+                # the search's own left-to-right sum of the first k costs
+                first = sum(costs[:k].tolist())
+                budgets += [k + 0.5, float(k), first, np.nextafter(first, 0.0),
+                            np.nextafter(first, np.inf)]
+                assert _single_support_size(costs, k + 0.5) == k
+            for b in budgets:
+                want = list(_maximal_supports_depth_first(costs, b))
+                assert list(maximal_admissible_supports(n, w, WCARD, b)) == want
+    assert _single_support_size(np.ones(5), 0.5) == 0
+    assert _single_support_size(np.ones(5), 6.0) == 5
+    assert list(maximal_admissible_supports(5, np.ones(5), WCARD, 6.0)) == [(0, 1, 2, 3, 4)]
+    assert _single_support_size(np.ones(5), 2.0) is None
+    assert _single_support_size(np.array([1.0, 1.0, 1.5]), 2.2) is None
 
 
 def test_complement():
