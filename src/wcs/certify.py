@@ -68,16 +68,17 @@ _HIDDEN_MASS = 1e-10
 _HIDDEN_BOUND = 1.0 - 1e-6
 # relative slack on the per-support upper bound when pruning
 _PRUNE_SLACK = 1e-6
+# absolute slack on the robust threshold, on the kernel and off it
+_ROBUST_TOL = 1e-9
 
 
 class BoundViolationError(RuntimeError):
     """A quantity exceeded a bound that should hold for every matrix."""
 
 
-def null_space_basis(A, tol: float | None = None) -> np.ndarray:
+def null_space_basis(A) -> np.ndarray:
     """Orthonormal basis of ker(A) as columns, via singular value thresholding."""
-    A = as_matrix(A)
-    return scipy.linalg.null_space(A, rcond=tol)
+    return scipy.linalg.null_space(as_matrix(A))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ class RipResult:
     model: SparseModel
 
 
-def rip_constant(A, w, model: SparseModel, s: float, cap: int | None = None) -> RipResult:
+def rip_constant(A, w, model: SparseModel, s: float) -> RipResult:
     """delta = max over admissible supports of max(sigma_max^2 - 1, 1 - sigma_min^2).
 
     Submatrix singular value extremes are monotone under support inclusion,
@@ -109,7 +110,7 @@ def rip_constant(A, w, model: SparseModel, s: float, cap: int | None = None) -> 
     best = 0.0
     best_support: tuple[int, ...] | None = None
     count = 0
-    supports = maximal_admissible_supports(A.shape[1], prof, model, s, cap=cap)
+    supports = maximal_admissible_supports(A.shape[1], prof, model, s)
     while chunk := list(islice(supports, _RIP_CHUNK)):
         by_size: dict[int, list[int]] = {}
         for k, S in enumerate(chunk):
@@ -343,39 +344,12 @@ def _ratio_ascent(
     return best, coeffs, evaluations
 
 
-def _ascent_blocks(B, supports):
-    """Supports in enumeration order, in blocks of the lockstep ascent.
-
-    A block holds up to _VERTEX_BLOCK lane x index entries. Yields (first,
-    block, hidden): first is the enumeration index of block[0], and hidden
-    is a kernel vector living inside block[-1], where the block and the
-    scan end at the first support hiding one, else None.
-    """
-    n = B.shape[0]
-    size = max(1, _VERTEX_BLOCK // (_ASCENT_RESTARTS * n))
-    supports = iter(supports)
-    first = 0
-    while block := list(islice(supports, size)):
-        for h, S in enumerate(block):
-            hidden = _hidden_kernel_vector(B, complement(S, n))
-            if hidden is not None:
-                yield first, block[: h + 1], hidden
-                return
-        yield first, block, None
-        first += len(block)
-
-
 def _indicator(supports, n: int) -> np.ndarray:
     """One row per support, 1.0 on its indices and 0.0 elsewhere."""
     rows = np.zeros((len(supports), n))
     for k, S in enumerate(supports):
         rows[k, list(S)] = 1.0
     return rows
-
-
-def _vertex_scan_fits(B: np.ndarray) -> bool:
-    n, d = B.shape
-    return not np.iscomplexobj(B) and math.comb(n, d - 1) <= _VERTEX_BUDGET
 
 
 def _vertex_ratios(B, w_arr, supports, numerator: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -431,6 +405,65 @@ def _kernel_witness(B, comp, w_arr, c, ratio: float) -> np.ndarray:
     return v / g if g > 0.0 else v
 
 
+def _kernel_path(B: np.ndarray) -> str:
+    """How the kernel ratios of B are found: "vertex" on real kernels with at
+    most _VERTEX_BUDGET vertex directions C(N, d-1) (exact), "lp" on real
+    kernels above it, "ascent" on complex kernels (a lower bound)."""
+    n, d = B.shape
+    if np.iscomplexobj(B):
+        return "ascent"
+    return "vertex" if math.comb(n, d - 1) <= _VERTEX_BUDGET else "lp"
+
+
+def _kernel_scan(B, supports, w_arr, numerator: str, seed: int, bound: float):
+    """Largest kernel ratio f(v_S) / ||v_{S^c}||_{w,1} of every support, in
+    enumeration order, on the path _kernel_path picks.
+
+    f is ||v_S||_{w,1} ("wl1") or ||v_S||_2 ("l2"). Yields (first, block,
+    ratios, coeffs, work): first is the enumeration index of block[0],
+    coeffs the kernel coefficients attaining each ratio, and work the vertex
+    directions or ascent evaluations spent. The vertex path yields every
+    support as one block, with ratio inf where a vertex direction lives
+    inside the support. The ascent path yields blocks of up to _VERTEX_BLOCK
+    lane x index entries, seeded seed + first + 1; the lp path (l2 only)
+    runs _max_l2_ratio_real one support at a time, seeded the same way.
+    Both end at the first support hiding a kernel vector, which reads inf
+    with coefficients e_0. A caller reads up to the first ratio above bound,
+    so with bound = inf the supports before a hidden one in its block are
+    not scanned and read 0, a valid lower bound.
+    """
+    n, d = B.shape
+    path = _kernel_path(B)
+    if path == "vertex":
+        supports = list(supports)
+        if supports:
+            yield 0, supports, *_vertex_ratios(B, w_arr, supports, numerator)
+        return
+    size = 1 if path == "lp" else max(1, _VERTEX_BLOCK // (_ASCENT_RESTARTS * n))
+    supports = iter(supports)
+    first = 0
+    while block := list(islice(supports, size)):
+        hides = (_hidden_kernel_vector(B, complement(S, n)) is not None for S in block)
+        h = next((h for h, hit in enumerate(hides) if hit), len(block))
+        hidden = h < len(block)
+        if path == "lp" and not hidden:
+            S = block[0]
+            val, c = _max_l2_ratio_real(B, S, complement(S, n), w_arr, seed + first + 1, restarts=4)
+            ratios, coeffs, work = np.array([val]), c[None], 0
+        elif path == "ascent" and not (hidden and math.isinf(bound)):
+            ratios, coeffs, work = _ratio_ascent(B, block[:h], w_arr, numerator, seed + first + 1)
+        else:  # nothing is scanned before the hidden support
+            ratios, coeffs, work = np.zeros(h), np.zeros((h, d)), 0
+        if hidden:
+            block = block[: h + 1]
+            ratios = np.append(ratios, math.inf)
+            coeffs = np.vstack([coeffs, np.eye(d)[:1]])
+        yield first, block, ratios, coeffs, work
+        if hidden:
+            return
+        first += len(block)
+
+
 # ---------------------------------------------------------------------------
 # null space constant
 
@@ -439,12 +472,16 @@ def _kernel_witness(B, comp, w_arr, c, ratio: float) -> np.ndarray:
 class NspResult:
     """Measured null space constant with the attaining support and vector.
 
-    supports_pruned counts the maximal supports whose upper bound ruled them
-    out without a linear program; lp_calls counts every linear program,
-    including the per-index bounds; kernel_vertices counts the vertex
-    directions evaluated instead (0 on the linear program and complex paths);
-    ascent_evaluations counts the lane objective evaluations of the complex
-    ratio ascent (0 on the real paths).
+    On the vertex and ascent paths of _kernel_scan gamma is the largest
+    ratio it read, exact on the vertex path and a lower bound on the ascent;
+    real data above the vertex budget runs the exact pruned sign-pattern
+    LPs instead. When gamma is inf, supports_examined counts the supports up
+    to the first hiding a kernel vector. supports_pruned counts the maximal
+    supports whose upper bound ruled them out without a linear program;
+    lp_calls counts every linear program, including the per-index bounds;
+    kernel_vertices counts the vertex directions evaluated instead (0 on the
+    linear program and complex paths); ascent_evaluations counts the lane
+    objective evaluations of the complex ratio ascent (0 on the real paths).
     """
 
     gamma: float
@@ -474,36 +511,7 @@ def _per_index_bounds(B: np.ndarray, w_arr: np.ndarray) -> np.ndarray:
     )
 
 
-def _nsp_vertices(B, prof, model, s, cap) -> NspResult:
-    """Exact real constant from the vertex directions, with no linear program.
-
-    The first support in enumeration order attains the maximum, so a hidden
-    kernel vector is reported at the first support hiding one, with
-    supports_examined counting the supports up to it as an in-order scan
-    does.
-    """
-    n, kdim = B.shape
-    supports = list(maximal_admissible_supports(n, prof, model, s, cap=cap))
-    if not supports:
-        return NspResult(0.0, True, None, None, 0, kdim, s, model)
-    ratios, coeffs, directions = _vertex_ratios(B, prof.w, supports, "wl1")
-    k = int(np.argmax(ratios))
-    gamma = float(ratios[k])
-    S = supports[k]
-    return NspResult(
-        gamma=gamma,
-        satisfied=gamma < 1.0 - CERTIFICATION_MARGIN,
-        attaining_support=S,
-        witness=_kernel_witness(B, complement(S, n), prof.w, coeffs[k], gamma),
-        supports_examined=k + 1 if math.isinf(gamma) else len(supports),
-        kernel_dim=kdim,
-        order=s,
-        model=model,
-        kernel_vertices=directions,
-    )
-
-
-def _nsp_real(B, prof, model, s, cap) -> NspResult:
+def _nsp_real(B, prof, model, s) -> NspResult:
     """Exact real constant, visiting supports by decreasing upper bound.
 
     On a kernel vector with ||v||_{w,1} = 1, ||v_S||_{w,1} <= a = sum of
@@ -513,7 +521,7 @@ def _nsp_real(B, prof, model, s, cap) -> NspResult:
     in-order scan returns. The sign-pattern programs need no seed.
     """
     n, kdim = B.shape
-    supports = list(maximal_admissible_supports(n, prof, model, s, cap=cap))
+    supports = list(maximal_admissible_supports(n, prof, model, s))
     if not supports:
         return NspResult(0.0, True, None, None, 0, kdim, s, model)
     alpha = _per_index_bounds(B, prof.w)
@@ -561,9 +569,7 @@ def _nsp_real(B, prof, model, s, cap) -> NspResult:
     )
 
 
-def nsp_constant(
-    A, w, model: SparseModel, s: float, cap: int | None = None, seed: int = 0
-) -> NspResult:
+def nsp_constant(A, w, model: SparseModel, s: float, seed: int = 0) -> NspResult:
     """Smallest gamma with ||v_S||_{w,1} <= gamma ||v_{S^c}||_{w,1} on the kernel.
 
     gamma = 0 for a trivial kernel; math.inf (with witness) when some kernel
@@ -577,6 +583,11 @@ def nsp_constant(
     programs per sign pattern run on the supports that per-index bounds do
     not rule out. Complex kernels run the lockstep ratio ascent on every
     support, which bounds gamma from below only.
+
+    The vertex and ascent paths read _kernel_scan with no bound, so a
+    support hiding a kernel vector ends the scan, and the first support
+    attaining the largest ratio wins: the support, the count and the ascent
+    seeds are those of an in-order scan.
     """
     A = as_matrix(A)
     n = A.shape[1]
@@ -585,52 +596,36 @@ def nsp_constant(
     kdim = B.shape[1]
     if kdim == 0:
         return NspResult(0.0, True, None, None, 0, 0, s, model)
-    if _vertex_scan_fits(B):
-        return _nsp_vertices(B, prof, model, s, cap)
-    if np.iscomplexobj(B):
-        return _nsp_complex(B, prof, model, s, cap, seed)
-    return _nsp_real(B, prof, model, s, cap)
-
-
-def _nsp_complex(B, prof, model, s, cap, seed) -> NspResult:
-    """Lower bound on the complex constant by the lockstep ratio ascent.
-
-    Supports run in blocks of the enumeration order. A support hiding a
-    kernel vector ends the scan before its block runs the ascent, and the
-    first support attaining the largest ratio wins, so the support, the
-    count and the seeds (seed + enumeration index + 1) are those of an
-    in-order scan.
-    """
-    n, kdim = B.shape
-    best = 0.0
+    path = _kernel_path(B)
+    if path == "lp":
+        return _nsp_real(B, prof, model, s)
+    # an exact ratio of 0 still attains; the ascent's lower bound of 0 does not
+    best = -math.inf if path == "vertex" else 0.0
     best_support: tuple[int, ...] | None = None
     witness: np.ndarray | None = None
-    count = evaluations = 0
-    for first, block, hidden in _ascent_blocks(
-        B, maximal_admissible_supports(n, prof, model, s, cap=cap)
+    count = work = 0
+    supports = maximal_admissible_supports(n, prof, model, s)
+    for first, block, ratios, coeffs, spent in _kernel_scan(
+        B, supports, prof.w, "wl1", seed, math.inf
     ):
-        count = first + len(block)
-        if hidden is not None:
-            return NspResult(
-                math.inf, False, block[-1], hidden, count, kdim, s, model,
-                ascent_evaluations=evaluations,
-            )
-        ratios, coeffs, evals = _ratio_ascent(B, block, prof.w, "wl1", seed + first + 1)
-        evaluations += evals
+        work += spent
         k = int(np.argmax(ratios))
+        count = first + (k + 1 if math.isinf(ratios[k]) else len(block))
         if ratios[k] > best:
             best, best_support = float(ratios[k]), block[k]
             witness = _kernel_witness(B, complement(block[k], n), prof.w, coeffs[k], best)
+    gamma = max(best, 0.0)
     return NspResult(
-        gamma=best,
-        satisfied=best < 1.0 - CERTIFICATION_MARGIN,
+        gamma=gamma,
+        satisfied=gamma < 1.0 - CERTIFICATION_MARGIN,
         attaining_support=best_support,
         witness=witness,
         supports_examined=count,
         kernel_dim=kdim,
         order=s,
         model=model,
-        ascent_evaluations=evaluations,
+        kernel_vertices=work if path == "vertex" else 0,
+        ascent_evaluations=work if path == "ascent" else 0,
     )
 
 
@@ -642,12 +637,16 @@ def _nsp_complex(B, prof, model, s, cap, seed) -> NspResult:
 class RobustNspReport:
     """Outcome of the kernel certification plus the off-kernel search.
 
-    kernel_path names how the kernel ratios were found: "vertex" (exact,
-    over kernel_vertices vertex directions), "lp" (alternating direction
-    linear programs), "ascent" (the complex ratio ascent) or "none" (a
-    trivial kernel or no admissible support). offkernel_starts counts the
-    lanes of the off-kernel search and offkernel_evaluations their margin
-    evaluations (both 0 when the search does not run).
+    kernel_path names the path of _kernel_scan that found the kernel
+    ratios: "vertex" (exact, over kernel_vertices vertex directions), "lp"
+    (alternating direction linear programs, a lower bound), "ascent" (the
+    complex ratio ascent, a lower bound) or "none" (a trivial kernel or no
+    admissible support). supports_examined counts the supports scanned, up
+    to the first whose ratio crosses the threshold when the status comes
+    from the kernel; a support hiding a kernel vector crosses it with ratio
+    inf. offkernel_starts counts the lanes of the off-kernel search and
+    offkernel_evaluations their margin evaluations (both 0 when the search
+    does not run).
     """
 
     status: str  # "certified-on-kernel" | "violated" | "undecided-off-kernel"
@@ -783,72 +782,33 @@ def _offkernel_search(
     return float(m[j]), V[j].copy(), supports[chosen[j]], evaluations
 
 
-def _robust_kernel_ratios(B, supports, w_arr, seed, path: str):
-    """Kernel ratios ||v_S||_2 / ||v_{S^c}||_{w,1} in enumeration order.
-
-    Yields (block, ratios, coeffs) with the kernel coefficients attaining
-    each ratio; the ratio is infinite on a support hiding a kernel vector,
-    and a complex scan ends there.
-    """
-    n, d = B.shape
-    if path == "ascent":
-        for first, block, hidden in _ascent_blocks(B, supports):
-            run = block if hidden is None else block[:-1]
-            ratios, coeffs, _ = _ratio_ascent(B, run, w_arr, "l2", seed + first + 1)
-            if hidden is not None:
-                # the witness of an infinite ratio is the hidden vector itself
-                ratios = np.append(ratios, math.inf)
-                coeffs = np.vstack([coeffs, np.eye(d)[:1]])
-            yield block, ratios, coeffs
-    elif path == "vertex":
-        ratios, coeffs, _ = _vertex_ratios(B, w_arr, supports, "l2")
-        yield supports, ratios, coeffs
-    else:
-        for k, S in enumerate(supports):
-            comp = complement(S, n)
-            if _hidden_kernel_vector(B, comp) is not None:
-                yield [S], [math.inf], np.eye(d)[:1]
-            else:
-                val, c = _max_l2_ratio_real(B, S, comp, w_arr, seed + k + 1, restarts=4)
-                yield [S], [val], [c]
-
-
 def check_robust_nsp_kernel(
-    A,
-    w,
-    s: float,
-    rho: float,
-    gamma: float,
-    cap: int | None = None,
-    samples: int = 100,
-    seed: int = 0,
-    tol: float = 1e-9,
+    A, w, s: float, rho: float, gamma: float, samples: int = 100, seed: int = 0
 ) -> RobustNspReport:
     """Certify ||v_S||_2 <= (rho/sqrt(s)) ||v_{S^c}||_{w,1} on the kernel.
 
     The kernel restriction is necessary for the full robust property (the
     matrix term vanishes there), so any kernel violation is a genuine
-    witness. The kernel ratio ||v_S||_2 / ||v_{S^c}||_{w,1} is exact on real
-    data with at most _VERTEX_BUDGET = 2^14 vertex directions C(N, d-1) (the
-    largest ratio over them, as in nsp_constant). Above the budget, real
-    data runs alternating direction LPs and complex data the ratio ascent;
-    both only bound the ratio from below, so a kernel violation can then be
-    missed. Off the kernel only a randomized falsification search runs, the
+    witness. The kernel ratio ||v_S||_2 / ||v_{S^c}||_{w,1} comes from
+    _kernel_scan, bounded by the threshold, so the scan stops at the first
+    support that violates it. The ratio is exact on real data with at most
+    _VERTEX_BUDGET = 2^14 vertex directions C(N, d-1) (the largest ratio
+    over them, as in nsp_constant). Above the budget, real data runs
+    alternating direction LPs and complex data the ratio ascent; both only
+    bound the ratio from below, so a kernel violation can then be missed.
+    Off the kernel only a randomized falsification search runs, the
     lockstep gradient ascent of _offkernel_search: samples=0 skips it and
     the report stays undecided off kernel.
     """
     A = as_matrix(A)
     n = A.shape[1]
     prof = as_weights(w, n)
+    # enumerating first turns a budget s <= 0 into a BudgetError
+    supports = list(maximal_admissible_supports(n, prof, SparseModel.WEIGHTED_CARDINALITY, s))
     threshold = rho / math.sqrt(s)
-    supports = list(
-        maximal_admissible_supports(n, prof, SparseModel.WEIGHTED_CARDINALITY, s, cap=cap)
-    )
     B = null_space_basis(A)
     d = B.shape[1]
-    path = "none"
-    if d and supports:
-        path = "ascent" if np.iscomplexobj(B) else "vertex" if _vertex_scan_fits(B) else "lp"
+    path = _kernel_path(B) if d and supports else "none"
     report = partial(
         RobustNspReport,
         order=s,
@@ -858,23 +818,25 @@ def check_robust_nsp_kernel(
         kernel_path=path,
         kernel_vertices=math.comb(n, d - 1) if path == "vertex" else 0,
     )
+    bound = threshold * (1.0 + 1e-9) + _ROBUST_TOL
     count = 0
     max_ratio = 0.0
-    blocks = _robust_kernel_ratios(B, supports, prof.w, seed, path) if path != "none" else ()
-    for block, ratios, coeffs in blocks:
-        for k, val in enumerate(map(float, ratios)):
-            count += 1
-            max_ratio = max(max_ratio, val)
-            if val > threshold * (1.0 + 1e-9) + tol:
-                S = block[k]
-                return report(
-                    status="violated",
-                    max_kernel_ratio=val,
-                    witness_support=S,
-                    witness_vector=_kernel_witness(B, complement(S, n), prof.w, coeffs[k], val),
-                    supports_examined=count,
-                    search_margin=None,
-                )
+    scan = _kernel_scan(B, supports, prof.w, "l2", seed, bound) if path != "none" else ()
+    for first, block, ratios, coeffs, _ in scan:
+        over = np.flatnonzero(ratios > bound)
+        if over.size:
+            k = int(over[0])
+            S, val = block[k], float(ratios[k])
+            return report(
+                status="violated",
+                max_kernel_ratio=val,
+                witness_support=S,
+                witness_vector=_kernel_witness(B, complement(S, n), prof.w, coeffs[k], val),
+                supports_examined=first + k + 1,
+                search_margin=None,
+            )
+        count = first + len(block)
+        max_ratio = max(max_ratio, float(ratios.max()))
     found = partial(report, max_kernel_ratio=max_ratio, supports_examined=count)
     if samples <= 0:
         return found(
@@ -886,7 +848,7 @@ def check_robust_nsp_kernel(
     best, best_v, best_S, evaluations = _offkernel_search(
         A, prof, supports, threshold, gamma, samples, seed
     )
-    violated = best > tol
+    violated = best > _ROBUST_TOL
     return found(
         status="violated" if violated else "certified-on-kernel",
         witness_support=best_S if violated else None,
@@ -918,7 +880,7 @@ class DisjointBoundReport:
 
 
 def disjoint_inner_product_bound_check(
-    A, w, s: int, t: int, cap: int | None = None, raise_on_violation: bool = True
+    A, w, s: int, t: int, raise_on_violation: bool = True
 ) -> DisjointBoundReport:
     """max |<Au, Av>| over disjoint unit sparse pairs, checked against delta_{s+t}.
 
@@ -936,7 +898,7 @@ def disjoint_inner_product_bound_check(
     if int(s) != s or int(t) != t or s < 1 or t < 1:
         raise ValueError("pair orders must be positive integers")
     s, t = int(s), int(t)
-    delta = rip_constant(A, prof, SparseModel.CARDINALITY, s + t, cap=cap).delta
+    delta = rip_constant(A, prof, SparseModel.CARDINALITY, s + t).delta
 
     cols = A.T
     best = 0.0
@@ -994,7 +956,6 @@ def exact_recovery_equivalence_test(
     model: SparseModel,
     s: float,
     trials: int = 1,
-    cap: int | None = None,
     seed: int = 0,
     recovery_tol: float = 1e-6,
 ) -> EquivalenceVerdict:
@@ -1009,14 +970,14 @@ def exact_recovery_equivalence_test(
     A = as_matrix(A)
     n = A.shape[1]
     prof = as_weights(w, n)
-    res = nsp_constant(A, prof, model, s, cap=cap, seed=seed)
+    res = nsp_constant(A, prof, model, s, seed=seed)
     complex_data = np.iscomplexobj(A)
     dtype = complex if complex_data else float
 
     if res.satisfied:
         max_err = 0.0
         count = 0
-        for idx, S in enumerate(maximal_admissible_supports(n, prof, model, s, cap=cap)):
+        for idx, S in enumerate(maximal_admissible_supports(n, prof, model, s)):
             count += 1
             rng = np.random.default_rng([seed, idx])
             plants = []

@@ -95,6 +95,18 @@ _SCHEMAS: dict[str, dict[str, set[str]]] = {
 }
 
 
+# experiment keys that hold one number, with its type, and those that hold a list
+_EXPERIMENT_NUMBERS = {
+    "trials": int,
+    "seed": int,
+    "start_index": int,
+    "budget_seconds": float,
+    "robust_dim": int,
+    "robust_budget": float,
+}
+_EXPERIMENT_LISTS = ("noise_levels", "weight_floors", "factors")
+
+
 def _load_config(path: str, command: str) -> dict[str, Any]:
     try:
         raw = Path(path).read_text()
@@ -146,13 +158,13 @@ def _sample_rows(spec: dict[str, Any], kind: str, where: str) -> SenseMatrix:
     real orthogonal matrix with a flat first row, partial-unitary the matrix
     in the file named by 'base'.
     """
-    seed = int(spec.get("seed", 0))
+    seed = _number(spec.get("seed", 0), "seed", int)
     if kind == "partial-unitary":
         if "base" not in spec:
             raise ConfigError("'partial-unitary' needs 'base', a unitary matrix file")
         base, _ = read_matrix(spec["base"])
     else:
-        n = int(_require(spec, "n", where))
+        n = _number(_require(spec, "n", where), "n", int)
         base = (
             dft_matrix(n)
             if kind in ("dft-rows", "partial-dft")
@@ -160,7 +172,7 @@ def _sample_rows(spec: dict[str, Any], kind: str, where: str) -> SenseMatrix:
         )
     return sample_partial_unitary(
         base,
-        int(_require(spec, "m", where)),
+        _number(_require(spec, "m", where), "m", int),
         seed=seed,
         exclude_first_row=bool(spec.get("exclude_first_row", False)),
         with_replacement=bool(spec.get("with_replacement", False)),
@@ -178,12 +190,13 @@ def _load_matrix(cfg: dict[str, Any]) -> np.ndarray:
         raise ConfigError("'generator' must be an object with a 'kind' key")
     kind = gen["kind"]
     if kind == "identity":
-        return np.eye(int(_require(gen, "n", "identity generator")))
+        return np.eye(_number(_require(gen, "n", "identity generator"), "n", int))
     if kind in ("dft-rows", "orthogonal-rows"):
         return _sample_rows(gen, kind, f"{kind} generator").matrix
     if kind == "gaussian":
-        rng = np.random.default_rng(int(gen.get("seed", 0)))
-        A = rng.standard_normal((int(_require(gen, "m", "gaussian generator")), int(_require(gen, "n", "gaussian generator"))))
+        rng = np.random.default_rng(_number(gen.get("seed", 0), "seed", int))
+        m, n = (_number(_require(gen, k, "gaussian generator"), k, int) for k in "mn")
+        A = rng.standard_normal((m, n))
         if gen.get("normalize_columns", True):
             A /= np.linalg.norm(A, axis=0)
         return A
@@ -198,16 +211,16 @@ def _load_weights(cfg: dict[str, Any], n: int) -> np.ndarray:
         raise ConfigError("'weights' must be a list or an object with a 'kind' key")
     kind = spec["kind"]
     if kind == "uniform":
-        return np.full(n, float(spec.get("value", 1.0)))
+        return np.full(n, _number(spec.get("value", 1.0), "value"))
     if kind == "explicit":
         w = np.asarray(_require(spec, "values", "explicit weights"), dtype=float)
         if w.size != n:
             raise ConfigError(f"weights have length {w.size}, matrix has {n} columns")
         return w
     if kind == "random":
-        rng = np.random.default_rng(int(spec.get("seed", 0)))
-        low = float(_require(spec, "low", "random weights"))
-        high = float(_require(spec, "high", "random weights"))
+        rng = np.random.default_rng(_number(spec.get("seed", 0), "seed", int))
+        low = _number(_require(spec, "low", "random weights"), "low")
+        high = _number(_require(spec, "high", "random weights"), "high")
         return rng.uniform(low, high, n)
     raise ConfigError(f"unknown weights kind {kind!r}")
 
@@ -370,13 +383,12 @@ def cmd_construct(cfg: dict[str, Any], out_dir: Path | None, started: float) -> 
     if kind != "counterexample":
         raise ConfigError(f"unknown construct kind {kind!r}")
 
-    n = int(_require(cfg, "n", "counterexample"))
-    m = int(_require(cfg, "m", "counterexample"))
-    s = float(_require(cfg, "s", "counterexample"))
+    n, m = (_number(_require(cfg, k, "counterexample"), k, int) for k in "nm")
+    s = _number(_require(cfg, "s", "counterexample"), "s")
     model = _parse_model(cfg.get("model", "weighted-cardinality"))
     w = _load_weights(cfg, n)
     bundle = build_counterexample(
-        w, s, m, n, model, seed=int(cfg.get("seed", 0)),
+        w, s, m, n, model, seed=_number(cfg.get("seed", 0), "seed", int),
         certify_inner=cfg.get("certify_inner", "auto"),
     )
     write_matrix(out / "phi.wcsmat", bundle.phi.matrix, provenance=[f"seed {cfg.get('seed', 0)}"])
@@ -416,6 +428,15 @@ def cmd_experiment(cfg: dict[str, Any], out_dir: Path | None, started: float) ->
     name = cfg["name"]
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; expected one of {sorted(EXPERIMENTS)}")
+    for key, convert in _EXPERIMENT_NUMBERS.items():
+        value = cfg.pop(key, None)
+        if value is not None:  # null keeps the default
+            cfg[key] = _number(value, key, convert)
+    for key in _EXPERIMENT_LISTS:
+        if key in cfg:
+            if not isinstance(cfg[key], list):
+                raise ConfigError(f"{key!r} must be a list of numbers")
+            cfg[key] = [_number(v, key) for v in cfg[key]]
     rows, summary = EXPERIMENTS[name](cfg)
     out = out_dir if out_dir is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)

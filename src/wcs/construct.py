@@ -42,6 +42,15 @@ __all__ = [
 ]
 
 
+# the null space constant an inner matrix must reach, per model, and the
+# number of inner matrices drawn to reach it
+_INNER_GAMMA_TARGET = {
+    SparseModel.WEIGHTED_CARDINALITY: 1.0 / 3.0,
+    SparseModel.CARDINALITY: 1.0 / 5.0,
+}
+_MAX_RESAMPLES = 50
+
+
 class ConstructionError(ValueError):
     """Raised when requested dimensions make a construction degenerate."""
 
@@ -231,9 +240,6 @@ def build_counterexample(
     seed: Any = 0,
     inner_base: np.ndarray | None = None,
     certify_inner: str = "auto",
-    inner_gamma_target: float | None = None,
-    max_resamples: int = 50,
-    cap: int | None = None,
 ) -> CounterexampleBundle:
     """Build the matrix with a designed null space and its recovery gap data.
 
@@ -251,14 +257,12 @@ def build_counterexample(
                 "the weighted-cardinality construction needs all weights >= 1"
             )
         k = _prefix_length(prof.w, s)
-        gamma_target = 1.0 / 3.0 if inner_gamma_target is None else inner_gamma_target
     elif model is SparseModel.CARDINALITY:
         if prof.w_max > 1.0:
             raise ConstructionError("the cardinality construction needs all weights <= 1")
         if s != int(s) or s < 1:
             raise ConstructionError(f"cardinality budget must be a positive integer, got {s}")
         k = int(s)
-        gamma_target = 1.0 / 5.0 if inner_gamma_target is None else inner_gamma_target
     else:  # pragma: no cover
         raise ValueError(f"unknown model {model}")
 
@@ -280,15 +284,16 @@ def build_counterexample(
     if certify_inner not in ("auto", "exact", "skip"):
         raise ValueError("certify_inner must be auto, exact, or skip")
     do_certify = certify_inner == "exact" or (
-        certify_inner == "auto" and n_inner <= enumeration_cap(cap)
+        certify_inner == "auto" and n_inner <= enumeration_cap()
     )
 
+    target = _INNER_GAMMA_TARGET[model] + 1e-9
     inner = None
     inner_gamma: float | None = None
     attempts = 0
     best: tuple[float, SenseMatrix] | None = None
     seed_list = [int(seed)] if np.isscalar(seed) else [int(x) for x in seed]
-    for attempt in range(max_resamples if do_certify else 1):
+    for attempt in range(_MAX_RESAMPLES if do_certify else 1):
         attempts += 1
         candidate = sample_partial_unitary(
             base, m - k, seed=seed_list + [attempt], exclude_first_row=True
@@ -296,15 +301,15 @@ def build_counterexample(
         if not do_certify:
             inner = candidate
             break
-        res = nsp_constant(candidate, w_inner, model, s, cap=cap)
+        res = nsp_constant(candidate, w_inner, model, s)
         if best is None or res.gamma < best[0]:
             best = (res.gamma, candidate)
-        if res.gamma <= gamma_target + 1e-9:
+        if res.gamma <= target:
             inner, inner_gamma = candidate, res.gamma
             break
     if inner is None:
         inner_gamma, inner = best
-    inner_certified = None if not do_certify else bool(inner_gamma <= gamma_target + 1e-9)
+    inner_certified = None if not do_certify else bool(inner_gamma <= target)
 
     M = inner.matrix
     e = np.ones(n_inner, dtype=M.dtype)
@@ -492,7 +497,6 @@ def verify_nsp_of_counterexample(
     samples: int = 50,
     support_samples: int = 400,
     mode: str = "auto",
-    cap: int | None = None,
     seed: int = 0,
 ) -> NspVerification:
     """Check the null space inequality of the built matrix.
@@ -508,10 +512,10 @@ def verify_nsp_of_counterexample(
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError("mode must be auto, exact, or sampled")
     if mode == "auto":
-        mode = "exact" if N <= enumeration_cap(cap) else "sampled"
+        mode = "exact" if N <= enumeration_cap() else "sampled"
 
     if mode == "exact":
-        res = nsp_constant(bundle.phi, prof, bundle.model, bundle.s, cap=cap, seed=seed)
+        res = nsp_constant(bundle.phi, prof, bundle.model, bundle.s, seed=seed)
         return NspVerification(
             mode="exact",
             verdict=res.satisfied,
@@ -584,7 +588,6 @@ def shrink_to_break_robust_nsp(
     rho: float,
     gamma: float,
     x_witness,
-    cap: int | None = None,
     safety: float = 0.5,
 ) -> ShrinkResult:
     """Scale a matrix down until the robust null space inequality fails at x.
@@ -603,7 +606,7 @@ def shrink_to_break_robust_nsp(
 
     best_margin = -math.inf
     best_support: tuple[int, ...] | None = None
-    for S in maximal_admissible_supports(n, prof, SparseModel.WEIGHTED_CARDINALITY, s, cap=cap):
+    for S in maximal_admissible_supports(n, prof, SparseModel.WEIGHTED_CARDINALITY, s):
         comp = complement(S, n)
         tail = float(prof.w[list(comp)] @ np.abs(x[list(comp)])) if comp else 0.0
         margin = float(np.linalg.norm(x[list(S)])) - threshold * tail

@@ -54,20 +54,18 @@ class PartitionBoundError(RuntimeError):
     """Raised when the greedy partition count exceeds the N*w_max^2/s + 1 bound."""
 
 
-def enumeration_cap(cap: int | None = None) -> int:
-    """Active enumeration cap: explicit argument, else WCS_ENUM_CAP, else 24."""
-    if cap is not None:
-        return int(cap)
+def enumeration_cap() -> int:
+    """Active enumeration cap: WCS_ENUM_CAP when set, else 24."""
     env = os.environ.get(ENUM_CAP_ENV)
     return int(env) if env else DEFAULT_ENUM_CAP
 
 
-def _check_cap(n: int, cap: int | None, what: str) -> None:
-    limit = enumeration_cap(cap)
+def _check_cap(n: int, what: str) -> None:
+    limit = enumeration_cap()
     if n > limit:
         raise EnumerationCapError(
             f"{what} requires enumerating {n} indices, above the cap of {limit} "
-            f"(override with {ENUM_CAP_ENV} or an explicit cap argument)"
+            f"(override with {ENUM_CAP_ENV})"
         )
 
 
@@ -181,7 +179,7 @@ def _budget_and_costs(w: WeightProfile, model: SparseModel, s: float) -> tuple[f
 
 
 def enumerate_admissible_supports(
-    n: int, w, model: SparseModel, s: float, cap: int | None = None
+    n: int, w, model: SparseModel, s: float
 ) -> Iterator[tuple[int, ...]]:
     """Yield every nonempty support with measure <= s, in lexicographic order.
 
@@ -189,7 +187,7 @@ def enumerate_admissible_supports(
     enumeration cap.
     """
     prof = as_weights(w, n)
-    _check_cap(n, cap, "support enumeration")
+    _check_cap(n, "support enumeration")
     budget, costs = _budget_and_costs(prof, model, s)
 
     prefix: list[int] = []
@@ -207,7 +205,7 @@ def enumerate_admissible_supports(
 
 
 def maximal_admissible_supports(
-    n: int, w, model: SparseModel, s: float, cap: int | None = None
+    n: int, w, model: SparseModel, s: float
 ) -> Iterator[tuple[int, ...]]:
     """Yield the admissible supports that cannot be extended by any index.
 
@@ -222,7 +220,7 @@ def maximal_admissible_supports(
     the same order.
     """
     prof = as_weights(w, n)
-    _check_cap(n, cap, "support enumeration")
+    _check_cap(n, "support enumeration")
     budget, costs = _budget_and_costs(prof, model, s)
     if model is SparseModel.CARDINALITY:
         k = min(int(budget), n)
@@ -333,7 +331,6 @@ def best_weighted_s_term(
     w,
     model: SparseModel,
     s: float,
-    cap: int | None = None,
     allow_greedy_fallback: bool = False,
 ) -> TermApproximation:
     """Support maximizing kept weighted l1 mass under the budget, plus the tail.
@@ -355,9 +352,9 @@ def best_weighted_s_term(
         order = np.lexsort((np.arange(n), -values))
         support = tuple(sorted(int(i) for i in order[:k]))
     else:
-        if n > enumeration_cap(cap):
+        if n > enumeration_cap():
             if not allow_greedy_fallback:
-                _check_cap(n, cap, "exact weighted s-term selection")
+                _check_cap(n, "exact weighted s-term selection")
             exact = False
             density = np.abs(x) / prof.w  # value/cost = w|x| / w^2
             support_list: list[int] = []

@@ -949,19 +949,30 @@ def test_complex_blocks_do_not_change_the_result(monkeypatch):
     assert robust_blocked.max_kernel_ratio == pytest.approx(robust.max_kernel_ratio, rel=1e-12)
 
 
-def test_robust_complex_kernel_ratio_matches_the_scalar_scan():
-    """The l2 numerator on complex data, supports of mixed sizes: the
-    largest ratio, and the first support crossing a threshold just below
-    it, are those of the scalar ascent run support by support."""
-    A, w = _partial_dft(8, 5, 50), np.random.default_rng(50).uniform(0.8, 1.2, 8)
-    n, s = A.shape[1], 2.0
+_ROBUST_SCAN_CASES = {
+    "ascent": (_partial_dft(8, 5, 50), np.random.default_rng(50).uniform(0.8, 1.2, 8), 2.0),
+    # C(17, 7) = 19,448 vertex directions: past the budget, the lp path runs
+    "lp": (_gaussian(9, 17, 51), np.random.default_rng(51).uniform(1.0, 1.05, 17), 1.2),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_ROBUST_SCAN_CASES))
+def test_robust_kernel_ratio_matches_the_per_support_scan(path):
+    """The l2 numerator on complex data, supports of mixed sizes, and on
+    real data above the vertex budget: the largest ratio, and the first
+    support crossing a threshold just below it, are those of the scalar
+    ascent or the direction LPs run support by support."""
+    A, w, s = _ROBUST_SCAN_CASES[path]
+    n = A.shape[1]
     B = null_space_basis(A)
     supports = list(maximal_admissible_supports(n, w, WCARD, s))
-    assert len({len(S) for S in supports}) > 1
+    if path == "ascent":
+        assert len({len(S) for S in supports}) > 1
     oracle = np.array([
         _max_kernel_ratio(B, S, complement(S, n), w, "l2", k + 1)[0] for k, S in enumerate(supports)
     ])
     report = check_robust_nsp_kernel(A, w, s, rho=10.0, gamma=1.0, samples=0)
+    assert report.kernel_path == path
     assert report.status == "undecided-off-kernel"
     assert report.supports_examined == len(supports)
     assert report.max_kernel_ratio == pytest.approx(oracle.max(), rel=1e-9)

@@ -387,6 +387,41 @@ def test_experiment_unknown_name(tmp_path, capsys):
     assert "nope" in err
 
 
+_GAUSSIAN_NSP = {
+    "property": "nsp",
+    "model": "cardinality",
+    "s": 1,
+    "weights": {"kind": "uniform"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("experiment", {"name": "equivalence", "trials": [1]}, "trials"),
+        ("experiment", {"name": "scaling", "seed": [1]}, "seed"),
+        (
+            "experiment",
+            {"name": "equivalence", "trials": 1, "budget_seconds": "x"},
+            "budget_seconds",
+        ),
+        (
+            "construct",
+            {"kind": "counterexample", "n": [64], "m": 20, "s": 4, "weights": {"kind": "uniform"}},
+            "n",
+        ),
+        ("certify", {**_GAUSSIAN_NSP, "generator": {"kind": "gaussian", "m": [4], "n": 8}}, "m"),
+    ],
+    ids=["experiment-trials", "experiment-seed", "experiment-budget", "construct-n", "generator-m"],
+)
+def test_config_value_of_wrong_type_exit_one(tmp_path, capsys, command, payload, key):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    code, out, err = _run(capsys, [command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {key!r} must be a number") and err.count("\n") == 1
+
+
 def test_recover_reports_solver_diagnostics_only_in_telemetry(tmp_path, capsys):
     from wcs.cli import (
         RECOVER_TELEMETRY,
@@ -471,6 +506,27 @@ def test_certify_robust_nsp_roundtrip(tmp_path, capsys):
         "certified-on-kernel", "violated", "undecided-off-kernel"
     )
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_certify_robust_nsp_nonpositive_budget_exit_one(tmp_path, capsys, s):
+    cfg = _write_config(
+        tmp_path,
+        "c.json",
+        {
+            "property": "robust-nsp",
+            "model": "weighted-cardinality",
+            "s": s,
+            "rho": 0.9,
+            "gamma": 2.0,
+            "weights": {"kind": "uniform"},
+            "generator": {"kind": "gaussian", "m": 4, "n": 8},
+        },
+    )
+    code, out, err = _run(capsys, ["certify", "--config", cfg])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: budget must be positive, got {float(s)}\n"
 
 
 def test_experiment_error_bounds_sweep(tmp_path, capsys):
