@@ -602,11 +602,13 @@ def shrink_to_break_robust_nsp(
     x = np.asarray(x_witness).ravel()
     if x.size != n:
         raise ValueError(f"witness has length {x.size}, expected {n}")
+    # enumerating first turns a budget s <= 0 into a BudgetError
+    supports = list(maximal_admissible_supports(n, prof, SparseModel.WEIGHTED_CARDINALITY, s))
     threshold = rho / math.sqrt(s)
 
     best_margin = -math.inf
     best_support: tuple[int, ...] | None = None
-    for S in maximal_admissible_supports(n, prof, SparseModel.WEIGHTED_CARDINALITY, s):
+    for S in supports:
         comp = complement(S, n)
         tail = float(prof.w[list(comp)] @ np.abs(x[list(comp)])) if comp else 0.0
         margin = float(np.linalg.norm(x[list(S)])) - threshold * tail

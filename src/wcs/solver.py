@@ -14,16 +14,20 @@ The splitting map is accelerated by safeguarded type-II Anderson
 extrapolation with memory 5 (Fu, Zhang and Boyd, SIAM J. Sci. Comput.
 42(6), 2020): an extrapolated point is kept only if its fixed-point
 residual is no larger than the current one, otherwise the plain step is
-taken and the memory cleared. Every 20 iterations, and when the loop meets
-its stopping rule, a support polish (as in OSQP, Stellato et al., Math.
-Prog. Comp. 12, 2020) solves the program restricted to the support of the
-sparse iterate in closed form and stops the solve if a KKT certificate
-proves the point optimal; diagnostics["certified"] says so. Without a
-certificate the loop ends by its fixed-point and objective tolerances, as
-plain Douglas-Rachford does. Initialization is fixed at zero and the scheme
-is deterministic. The outcome's diagnostics also count polish attempts,
-rejected extrapolations, secular-equation evaluations and root-find
-fallbacks.
+taken and the memory cleared. A support polish (as in OSQP, Stellato et
+al., Math. Prog. Comp. 12, 2020) solves the program restricted to the
+support of a sparse point in closed form and stops the solve if a KKT
+certificate proves the result optimal; diagnostics["certified"] says so.
+The certificate is sound on any candidate, so every evaluated point is one,
+a rejected extrapolation included. On real data the polish depends only on
+the support and the signs, and each such pattern is polished once per
+solve. Complex phases move inside a fixed support, so each new support is
+polished once and the current one again every 20 evaluations and when the
+stopping rule is met. Without a certificate the loop ends by its
+fixed-point and objective tolerances, as plain Douglas-Rachford does.
+Initialization is fixed at zero and the scheme is deterministic. The
+outcome's diagnostics also count polish attempts, rejected extrapolations,
+secular-equation evaluations and root-find fallbacks.
 """
 
 from __future__ import annotations
@@ -319,10 +323,10 @@ def solve_weighted_bpdn(
 
     Anderson-accelerated Douglas-Rachford splitting between the weighted
     soft-threshold and the exact constraint projection, with a support
-    polish every _POLISH_EVERY iterations that stops the solve once a KKT
-    certificate holds. The proximal scale comes from the measured largest
-    singular value, so the run is fully determined by the inputs. Each
-    iteration is one evaluation of the splitting map.
+    polish of every new pattern of an evaluated point that stops the solve
+    once a KKT certificate holds. The proximal scale comes from the
+    measured largest singular value, so the run is fully determined by the
+    inputs. Each iteration is one evaluation of the splitting map.
     """
     A = as_matrix(A)
     y = np.asarray(y).ravel()
@@ -365,7 +369,22 @@ def solve_weighted_bpdn(
     wv = fx = z = v = point  # the current iterate, its residual and its parts
     gap = np.inf
     polished = None
+    tried: set[bytes] = set()  # the patterns already polished
     polish_attempts = rejects = 0
+
+    def attempt(cand: np.ndarray, again: bool = False) -> np.ndarray | None:
+        """Polish cand unless its pattern was tried and again is False."""
+        nonlocal polish_attempts
+        # on real data the polish depends only on the support and the signs;
+        # complex phases move inside a support, so only the support is kept
+        pattern = (cand != 0) if complex_data else np.sign(cand).astype(np.int8)
+        key = pattern.tobytes()
+        if key in tried and not again:
+            return None
+        tried.add(key)
+        polish_attempts += 1
+        return _polish(A, y, prof.w, epsilon, cand, res_tol)
+
     obj_trace: list[float] = []
     prev_obj = np.inf
     converged = False
@@ -378,28 +397,37 @@ def solve_weighted_bpdn(
         v_new = project(2.0 * z_new - point)
         f = v_new - z_new
         gap_new = _norm(f)
-        if extrapolated and not gap_new <= gap:
+        accepted = not extrapolated or gap_new <= gap
+        if accepted:
+            if it > 1:
+                anderson.push(point - wv, f - fx)
+            wv, fx, z, v, gap = point, f, z_new, v_new, gap_new
+            obj = _objective(v, prof.w)
+            if it % trace_every == 0 or it == 1:
+                obj_trace.append(obj)
+            scale = 1.0 + _norm(z)
+            converged = gap <= inner_tol * scale and abs(obj - prev_obj) <= inner_tol * (1.0 + obj)
+            prev_obj = obj
+        else:
             # the safeguard: fall back to the plain step and forget the history
             rejects += 1
             anderson.clear()
-            point, extrapolated = wv + fx, False
-            continue
-        if it > 1:
-            anderson.push(point - wv, f - fx)
-        wv, fx, z, v, gap = point, f, z_new, v_new, gap_new
-        obj = _objective(v, prof.w)
-        if it % trace_every == 0 or it == 1:
-            obj_trace.append(obj)
-        scale = 1.0 + _norm(z)
-        converged = gap <= inner_tol * scale and abs(obj - prev_obj) <= inner_tol * (1.0 + obj)
-        prev_obj = obj
-        if converged or it % _POLISH_EVERY == 0:
-            polish_attempts += 1
-            polished = _polish(A, y, prof.w, epsilon, z, res_tol)
-            converged = converged or polished is not None
+        # the certificate is sound on any point, so every evaluated one is a
+        # candidate, a rejected extrapolation included; a known complex support
+        # is polished again on the cadence and at the stopping rule
+        polished = attempt(z_new, complex_data and (converged or it % _POLISH_EVERY == 0))
+        if polished is not None:
+            converged = True
+            # an entry at rounding level took its sign from rounding; without
+            # it the point is exactly sparse if it certifies as well
+            mag = np.abs(polished)
+            faint = (mag > 0) & (mag <= _KKT_TOL * mag.max())
+            if faint.any():
+                sparser = attempt(np.where(faint, 0, z_new))
+                polished = polished if sparser is None else sparser
         if converged:
             break
-        point, extrapolated = anderson.step(wv, fx)
+        point, extrapolated = anderson.step(wv, fx) if accepted else (wv + fx, False)
 
     if polished is not None:
         x = polished

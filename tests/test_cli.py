@@ -546,9 +546,12 @@ def test_experiment_error_bounds_sweep(tmp_path, capsys):
 
 def test_experiment_error_bounds_records_nonconverged_trials(tmp_path, capsys, monkeypatch):
     import wcs.experiments
+    import wcs.solver
 
     capped = wcs.experiments.solve_weighted_bpdn
-    # a cap below the first support polish (iteration 20) leaves every solve uncertified
+    # a polish that never certifies and a cap of 10 iterations leave every solve
+    # to the fixed-point stopping rule, which it cannot meet in time
+    monkeypatch.setattr(wcs.solver, "_polish", lambda *args: None)
     monkeypatch.setattr(
         wcs.experiments,
         "solve_weighted_bpdn",

@@ -16,7 +16,7 @@ from wcs.construct import (
     unitary_with_flat_first_row,
     verify_nsp_of_counterexample,
 )
-from wcs.core import SparseModel
+from wcs.core import BudgetError, SparseModel
 
 CARD = SparseModel.CARDINALITY
 WCARD = SparseModel.WEIGHTED_CARDINALITY
@@ -275,6 +275,16 @@ def test_shrink_rejects_kernel_witness():
     kernel_vec = np.ones(17)  # the flat excluded row spans the kernel
     with pytest.raises(ConstructionError, match="kernel|support"):
         shrink_to_break_robust_nsp(A, w, s, consts.rho, consts.gamma, kernel_vec)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0])
+def test_shrink_rejects_a_nonpositive_budget(s):
+    # the supports are enumerated before rho / sqrt(s) is formed
+    A, w, _, consts = _robust_ready_instance()
+    x = np.zeros(17)
+    x[0] = 1.0
+    with pytest.raises(BudgetError):
+        shrink_to_break_robust_nsp(A, w, s, consts.rho, consts.gamma, x)
 
 
 def test_verify_mode_auto_dispatch():

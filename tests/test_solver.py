@@ -543,6 +543,59 @@ def test_polish_certifies_most_planted_problems():
     assert certified >= 30
 
 
+def _flat_row_bpdn():
+    """A 11x12 partial orthogonal matrix whose excluded row is flat, eps = 1e-4."""
+    rng = np.random.default_rng(21)
+    base = unitary_with_flat_first_row(12, seed=21, real=True)
+    A = sample_partial_unitary(base, 11, seed=22).matrix
+    x = np.zeros(12)
+    x[rng.choice(12, 2, replace=False)] = rng.standard_normal(2)
+    e = rng.standard_normal(11)
+    y = A @ x + 1e-4 * e / np.linalg.norm(e)
+    return A, y, rng.uniform(0.8, 1.0, 12), 1e-4
+
+
+def test_flat_row_bpdn_certifies_within_fifty_evaluations():
+    """The Anderson safeguard rejects about every other evaluation here. Polishing
+    only accepted iterates, every 20th iteration, certified it after 13,477
+    evaluations (6,728 rejected); polishing every new sign pattern of every
+    evaluated point certifies it within 50."""
+    A, y, w, eps = _flat_row_bpdn()
+    out = solve_weighted_bpdn(A, y, w, eps, max_iter=20_000)
+    assert out.diagnostics["certified"]
+    assert out.iterations <= 50
+
+
+def test_real_polish_tries_each_sign_pattern_once(monkeypatch):
+    """On real data the polish depends only on the support and the signs."""
+    tried = []
+    polish = wcs.solver._polish
+
+    def record(A, y, w, eps, z, res_tol):
+        tried.append(tuple(np.sign(z).astype(int)))
+        return polish(A, y, w, eps, z, res_tol)
+
+    monkeypatch.setattr(wcs.solver, "_polish", record)
+    # the planted problems below include BP solves the polish cannot certify,
+    # which run until the stopping rule meets a pattern already tried
+    cases = [_flat_row_bpdn()]
+    for k in range(20):
+        eps = [0.0, 1e-2][k % 2]
+        cases.append((*_seeded_problem(100 + 2 * k, False, eps), eps))
+    for A, y, w, eps in cases:
+        tried.clear()
+        out = solve_weighted_bpdn(A, y, w, eps, max_iter=20_000)
+        assert len(set(tried)) == len(tried) == out.diagnostics["polish_attempts"] >= 1
+
+
+def test_complex_repolish_cadence_counts_rejected_evaluations():
+    # 600 evaluations with 91 rejected extrapolations
+    A, y, w = _seeded_problem(116, True, 1e-3)
+    out = solve_weighted_bpdn(A, y, w, 1e-3)
+    assert out.diagnostics["anderson_rejects"] > 0
+    assert out.diagnostics["polish_attempts"] >= out.iterations // 20
+
+
 @given(
     polish_cases(),
     st.sampled_from(["planted", "extra", "missing"]),
