@@ -32,7 +32,6 @@ from .certify import (
 from .construct import (
     ConstructionError,
     CounterexampleBundle,
-    NspVerification,
     Provenance,
     SenseMatrix,
     ShrinkResult,
@@ -41,7 +40,6 @@ from .construct import (
     sample_partial_unitary,
     shrink_to_break_robust_nsp,
     unitary_with_flat_first_row,
-    verify_nsp_of_counterexample,
 )
 from .core import (
     DEFAULT_ENUM_CAP,

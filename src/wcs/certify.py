@@ -1,9 +1,10 @@
 """Desk-scale certification of weighted null space and restricted isometry
 properties.
 
-Null space ratios are exact for real matrices: taken over the vertex
-directions of the kernel polytope when there are few enough of them, by
-linear programs over the kernel basis (one per sign pattern) otherwise.
+Kernel ratios are exact for real matrices: taken over the vertex
+directions of the kernel polytope, or for the null space constant past a
+budget of them, by linear programs over the kernel basis (one per sign
+pattern).
 Complex matrices get a lower bound from a phase-aware projected ascent with
 deterministic restarts, run in lockstep: every restart of every support in a
 block of the enumeration is one lane of a numpy batch, and a tick steps all
@@ -57,7 +58,8 @@ _RANK_TOL = 1e-10
 _ASCENT_RESTARTS = 12
 _ASCENT_ITERS = 300
 _RIP_CHUNK = 1024
-# real kernels with at most this many vertex directions C(N, d-1) skip the LPs
+# the null space constant of a real kernel with more vertex directions
+# C(N, d-1) than this runs the pruned sign-pattern LPs instead
 _VERTEX_BUDGET = 1 << 14
 # direction x support entries evaluated per block of the vertex scan
 _VERTEX_BLOCK = 1 << 15
@@ -198,37 +200,6 @@ def _max_wl1_ratio_real(B, S, comp, w_arr) -> tuple[float, np.ndarray]:
     return best, B @ best_c
 
 
-def _max_l2_ratio_real(B, S, comp, w_arr, seed: int, restarts: int) -> tuple[float, np.ndarray]:
-    """Sup of ||v_S||_2 with ||v_comp||_{w,1} <= 1 by alternating direction LPs,
-    with the kernel coefficients attaining it."""
-    A_ub, b_ub, bounds = _offsupport_lp_parts(B, list(comp), w_arr)
-    d = B.shape[1]
-    rng = np.random.default_rng(seed)
-    starts = [np.eye(len(S))[j] for j in range(len(S))]
-    starts += [rng.standard_normal(len(S)) for _ in range(restarts)]
-    best = 0.0
-    best_c = np.zeros(d)
-    for u in starts:
-        u = u / max(np.linalg.norm(u), 1e-300)
-        val_prev = -math.inf
-        c_prev = None
-        for _ in range(40):
-            a_vec = u @ B[list(S), :]
-            val, c = _lp_max_linear(a_vec, A_ub, b_ub, bounds, d)
-            if math.isinf(val):
-                return math.inf, np.eye(d)[0]
-            vS = (B @ c)[list(S)]
-            val = float(np.linalg.norm(vS))
-            if val <= val_prev * (1 + 1e-12):
-                break
-            val_prev, c_prev = val, c
-            u = vS / max(val, 1e-300)
-        if c_prev is not None and val_prev > best:
-            best = val_prev
-            best_c = c_prev
-    return best, best_c
-
-
 def _ratio_ascent(
     B, supports, w_arr, numerator: str, seed: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -365,8 +336,6 @@ def _vertex_ratios(B, w_arr, supports, numerator: str) -> tuple[np.ndarray, np.n
     directions evaluated.
     """
     n, d = B.shape
-    rows = np.array(list(combinations(range(n), d - 1)), dtype=np.intp)
-    rows = rows.reshape(len(rows), d - 1)
     K = len(supports)
     inside = _indicator(supports, n)
     outside = 1.0 - inside
@@ -374,8 +343,11 @@ def _vertex_ratios(B, w_arr, supports, numerator: str) -> tuple[np.ndarray, np.n
     best_c = np.zeros((K, d))
     every = np.arange(K)
     step = max(1, _VERTEX_BLOCK // K)
-    for lo in range(0, len(rows), step):
-        J = rows[lo : lo + step]
+    directions = 0
+    rows = combinations(range(n), d - 1)
+    while block := list(islice(rows, step)):
+        J = np.array(block, dtype=np.intp).reshape(len(block), d - 1)
+        directions += len(J)
         # the last column of a complete QR of B_J^T is orthogonal to every row of B_J
         C = np.linalg.qr(B[J].transpose(0, 2, 1), mode="complete")[0][:, :, -1]
         V = C @ B.T
@@ -391,7 +363,7 @@ def _vertex_ratios(B, w_arr, supports, numerator: str) -> tuple[np.ndarray, np.n
         better = top > best
         best[better] = top[better]
         best_c[better] = C[j[better]]
-    return best, best_c, len(rows)
+    return best, best_c, directions
 
 
 def _kernel_witness(B, comp, w_arr, c, ratio: float) -> np.ndarray:
@@ -406,13 +378,9 @@ def _kernel_witness(B, comp, w_arr, c, ratio: float) -> np.ndarray:
 
 
 def _kernel_path(B: np.ndarray) -> str:
-    """How the kernel ratios of B are found: "vertex" on real kernels with at
-    most _VERTEX_BUDGET vertex directions C(N, d-1) (exact), "lp" on real
-    kernels above it, "ascent" on complex kernels (a lower bound)."""
-    n, d = B.shape
-    if np.iscomplexobj(B):
-        return "ascent"
-    return "vertex" if math.comb(n, d - 1) <= _VERTEX_BUDGET else "lp"
+    """How the kernel ratios of B are found: "vertex" on real kernels
+    (exact), "ascent" on complex kernels (a lower bound)."""
+    return "ascent" if np.iscomplexobj(B) else "vertex"
 
 
 def _kernel_scan(B, supports, w_arr, numerator: str, seed: int, bound: float):
@@ -425,32 +393,26 @@ def _kernel_scan(B, supports, w_arr, numerator: str, seed: int, bound: float):
     directions or ascent evaluations spent. The vertex path yields every
     support as one block, with ratio inf where a vertex direction lives
     inside the support. The ascent path yields blocks of up to _VERTEX_BLOCK
-    lane x index entries, seeded seed + first + 1; the lp path (l2 only)
-    runs _max_l2_ratio_real one support at a time, seeded the same way.
-    Both end at the first support hiding a kernel vector, which reads inf
-    with coefficients e_0. A caller reads up to the first ratio above bound,
-    so with bound = inf the supports before a hidden one in its block are
-    not scanned and read 0, a valid lower bound.
+    lane x index entries, seeded seed + first + 1, and ends at the first
+    support hiding a kernel vector, which reads inf with coefficients e_0.
+    A caller reads up to the first ratio above bound, so with bound = inf
+    the supports before a hidden one in its block are not scanned and read
+    0, a valid lower bound.
     """
     n, d = B.shape
-    path = _kernel_path(B)
-    if path == "vertex":
+    if _kernel_path(B) == "vertex":
         supports = list(supports)
         if supports:
             yield 0, supports, *_vertex_ratios(B, w_arr, supports, numerator)
         return
-    size = 1 if path == "lp" else max(1, _VERTEX_BLOCK // (_ASCENT_RESTARTS * n))
+    size = max(1, _VERTEX_BLOCK // (_ASCENT_RESTARTS * n))
     supports = iter(supports)
     first = 0
     while block := list(islice(supports, size)):
         hides = (_hidden_kernel_vector(B, complement(S, n)) is not None for S in block)
         h = next((h for h, hit in enumerate(hides) if hit), len(block))
         hidden = h < len(block)
-        if path == "lp" and not hidden:
-            S = block[0]
-            val, c = _max_l2_ratio_real(B, S, complement(S, n), w_arr, seed + first + 1, restarts=4)
-            ratios, coeffs, work = np.array([val]), c[None], 0
-        elif path == "ascent" and not (hidden and math.isinf(bound)):
+        if not (hidden and math.isinf(bound)):
             ratios, coeffs, work = _ratio_ascent(B, block[:h], w_arr, numerator, seed + first + 1)
         else:  # nothing is scanned before the hidden support
             ratios, coeffs, work = np.zeros(h), np.zeros((h, d)), 0
@@ -584,10 +546,10 @@ def nsp_constant(A, w, model: SparseModel, s: float, seed: int = 0) -> NspResult
     not rule out. Complex kernels run the lockstep ratio ascent on every
     support, which bounds gamma from below only.
 
-    The vertex and ascent paths read _kernel_scan with no bound, so a
-    support hiding a kernel vector ends the scan, and the first support
-    attaining the largest ratio wins: the support, the count and the ascent
-    seeds are those of an in-order scan.
+    Within the budget and on complex data it reads _kernel_scan with no
+    bound, so a support hiding a kernel vector ends the scan, and the first
+    support attaining the largest ratio wins: the support, the count and the
+    ascent seeds are those of an in-order scan.
     """
     A = as_matrix(A)
     n = A.shape[1]
@@ -597,7 +559,7 @@ def nsp_constant(A, w, model: SparseModel, s: float, seed: int = 0) -> NspResult
     if kdim == 0:
         return NspResult(0.0, True, None, None, 0, 0, s, model)
     path = _kernel_path(B)
-    if path == "lp":
+    if path == "vertex" and math.comb(n, kdim - 1) > _VERTEX_BUDGET:
         return _nsp_real(B, prof, model, s)
     # an exact ratio of 0 still attains; the ascent's lower bound of 0 does not
     best = -math.inf if path == "vertex" else 0.0
@@ -638,15 +600,14 @@ class RobustNspReport:
     """Outcome of the kernel certification plus the off-kernel search.
 
     kernel_path names the path of _kernel_scan that found the kernel
-    ratios: "vertex" (exact, over kernel_vertices vertex directions), "lp"
-    (alternating direction linear programs, a lower bound), "ascent" (the
-    complex ratio ascent, a lower bound) or "none" (a trivial kernel or no
-    admissible support). supports_examined counts the supports scanned, up
-    to the first whose ratio crosses the threshold when the status comes
-    from the kernel; a support hiding a kernel vector crosses it with ratio
-    inf. offkernel_starts counts the lanes of the off-kernel search and
-    offkernel_evaluations their margin evaluations (both 0 when the search
-    does not run).
+    ratios: "vertex" (real data, exact, over kernel_vertices vertex
+    directions), "ascent" (the complex ratio ascent, a lower bound) or
+    "none" (a trivial kernel or no admissible support). supports_examined
+    counts the supports scanned, up to the first whose ratio crosses the
+    threshold when the status comes from the kernel; a support hiding a
+    kernel vector crosses it with ratio inf. offkernel_starts counts the
+    lanes of the off-kernel search and offkernel_evaluations their margin
+    evaluations (both 0 when the search does not run).
     """
 
     status: str  # "certified-on-kernel" | "violated" | "undecided-off-kernel"
@@ -659,7 +620,7 @@ class RobustNspReport:
     witness_vector: np.ndarray | None
     supports_examined: int
     search_margin: float | None
-    kernel_path: str = "none"  # "vertex" | "lp" | "ascent" | "none"
+    kernel_path: str = "none"  # "vertex" | "ascent" | "none"
     kernel_vertices: int = 0
     offkernel_starts: int = 0
     offkernel_evaluations: int = 0
@@ -791,12 +752,11 @@ def check_robust_nsp_kernel(
     matrix term vanishes there), so any kernel violation is a genuine
     witness. The kernel ratio ||v_S||_2 / ||v_{S^c}||_{w,1} comes from
     _kernel_scan, bounded by the threshold, so the scan stops at the first
-    support that violates it. The ratio is exact on real data with at most
-    _VERTEX_BUDGET = 2^14 vertex directions C(N, d-1) (the largest ratio
-    over them, as in nsp_constant). Above the budget, real data runs
-    alternating direction LPs and complex data the ratio ascent; both only
-    bound the ratio from below, so a kernel violation can then be missed.
-    Off the kernel only a randomized falsification search runs, the
+    support that violates it. The ratio is exact on real data: the largest
+    ratio over all C(N, d-1) vertex directions, with no budget (the
+    enumeration cap bounds them). Complex data runs the ratio ascent, which
+    only bounds the ratio from below, so a kernel violation can then be
+    missed. Off the kernel only a randomized falsification search runs, the
     lockstep gradient ascent of _offkernel_search: samples=0 skips it and
     the report stays undecided off kernel.
     """

@@ -29,7 +29,6 @@ from .core import (
 __all__ = [
     "ConstructionError",
     "CounterexampleBundle",
-    "NspVerification",
     "Provenance",
     "SenseMatrix",
     "ShrinkResult",
@@ -38,7 +37,6 @@ __all__ = [
     "sample_partial_unitary",
     "shrink_to_break_robust_nsp",
     "unitary_with_flat_first_row",
-    "verify_nsp_of_counterexample",
 ]
 
 
@@ -247,8 +245,10 @@ def build_counterexample(
     all-ones vector in its kernel; when its dimension is inside the
     enumeration cap (certify_inner="auto" or "exact") it is resampled until
     its measured null space constant reaches the target (1/3 for the
-    weighted-cardinality case, 1/5 for the cardinality case). Asymptotic
-    premises are recorded as flags, never enforced.
+    weighted-cardinality case, 1/5 for the cardinality case).
+    inner_certified says whether it did; it is None when the inner matrix
+    was not certified, or is complex, where the measured constant is only a
+    lower bound. Asymptotic premises are recorded as flags, never enforced.
     """
     prof = as_weights(w, N)
     if model is SparseModel.WEIGHTED_CARDINALITY:
@@ -309,7 +309,8 @@ def build_counterexample(
             break
     if inner is None:
         inner_gamma, inner = best
-    inner_certified = None if not do_certify else bool(inner_gamma <= target)
+    exact = do_certify and not np.iscomplexobj(inner.matrix)
+    inner_certified = bool(inner_gamma <= target) if exact else None
 
     M = inner.matrix
     e = np.ones(n_inner, dtype=M.dtype)
@@ -413,6 +414,10 @@ def build_counterexample(
         "error_upper_bound_sq": upper_bound,
         "direct_error_sq": direct_sq,
         "bounds_contradict": bool(lower_bound > upper_bound),
+        # the planted prefix carries (N - 4k)/2 (1 - 2^-k), below half the tail
+        "prefix_mass_measured": weighted_l1_norm(d[:k], prof.w[:k]),
+        "prefix_mass_closed_form": scale / 2.0 * geo,
+        "half_tail_sum": (N - k) / 2.0,
     }
 
     phi = SenseMatrix(
@@ -446,123 +451,6 @@ def build_counterexample(
         inner_attempts=attempts,
         diagnostics=diagnostics,
         premises=premises,
-    )
-
-
-# ---------------------------------------------------------------------------
-# null space verification of a built bundle
-
-
-@dataclass(frozen=True)
-class NspVerification:
-    mode: str  # "exact" | "sampled"
-    verdict: bool
-    min_margin: float
-    gamma: float | None
-    supports_checked: int
-    vectors_checked: int
-    intermediate: dict[str, float]
-
-
-def _closed_form_intermediate(bundle: CounterexampleBundle) -> dict[str, float]:
-    N = bundle.weights.size
-    k = bundle.k
-    lhs = (N - 4 * k) / 2.0 * (1.0 - 2.0**-k)
-    rhs = (N - k) / 2.0
-    measured = weighted_l1_norm(
-        np.concatenate([bundle.d[:k], np.zeros(N - k)]), bundle.weights
-    )
-    return {
-        "prefix_mass_closed_form": lhs,
-        "prefix_mass_measured": measured,
-        "half_tail_sum": rhs,
-        "strictly_below": float(lhs < rhs),
-    }
-
-
-def _random_admissible_support(rng, prof, model, s) -> tuple[int, ...]:
-    order = rng.permutation(len(prof))
-    costs = np.ones(len(prof)) if model is SparseModel.CARDINALITY else prof.squared
-    picked: list[int] = []
-    used = 0.0
-    for i in order:
-        if used + costs[i] <= s:
-            picked.append(int(i))
-            used += costs[i]
-    return tuple(sorted(picked))
-
-
-def verify_nsp_of_counterexample(
-    bundle: CounterexampleBundle,
-    samples: int = 50,
-    support_samples: int = 400,
-    mode: str = "auto",
-    seed: int = 0,
-) -> NspVerification:
-    """Check the null space inequality of the built matrix.
-
-    Exact mode measures the null space constant directly (dimension within
-    the enumeration cap). Sampled mode draws kernel vectors h from the
-    lifted space, forms b = h + d, and checks the strict inequality over
-    admissible supports (all of them when few, a random sample otherwise),
-    plus pure lifted vectors and the closed-form prefix sums.
-    """
-    prof = as_weights(bundle.weights)
-    N = len(prof)
-    if mode not in ("auto", "exact", "sampled"):
-        raise ValueError("mode must be auto, exact, or sampled")
-    if mode == "auto":
-        mode = "exact" if N <= enumeration_cap() else "sampled"
-
-    if mode == "exact":
-        res = nsp_constant(bundle.phi, prof, bundle.model, bundle.s, seed=seed)
-        return NspVerification(
-            mode="exact",
-            verdict=res.satisfied,
-            min_margin=1.0 - res.gamma,
-            gamma=res.gamma,
-            supports_checked=res.supports_examined,
-            vectors_checked=0,
-            intermediate=_closed_form_intermediate(bundle),
-        )
-
-    rng = np.random.default_rng(seed)
-    L = bundle.lifted_basis
-    vectors = [bundle.d.copy()]
-    for _ in range(samples):
-        if L.shape[1] == 0:
-            break
-        coef = rng.standard_normal(L.shape[1])
-        if np.iscomplexobj(L):
-            coef = coef + 1j * rng.standard_normal(L.shape[1])
-        h = L @ coef
-        vectors.append(bundle.d + h)
-        vectors.append(h)
-
-    supports = {tuple(range(bundle.k))}
-    for _ in range(support_samples):
-        supports.add(_random_admissible_support(rng, prof, bundle.model, bundle.s))
-    supports.discard(())
-
-    min_margin = math.inf
-    for b in vectors:
-        if np.linalg.norm(b) < 1e-14:
-            continue
-        mags = prof.w * np.abs(b)
-        total = float(np.sum(mags))
-        for T in supports:
-            on = float(np.sum(mags[list(T)]))
-            margin = (total - on) - on  # ||b_{T^c}|| - ||b_T||
-            if margin < min_margin:
-                min_margin = margin
-    return NspVerification(
-        mode="sampled",
-        verdict=min_margin > 0,
-        min_margin=min_margin,
-        gamma=None,
-        supports_checked=len(supports),
-        vectors_checked=len(vectors),
-        intermediate=_closed_form_intermediate(bundle),
     )
 
 
