@@ -46,7 +46,6 @@ from .core import (
     BudgetError,
     EnumerationCapError,
     Partition,
-    PartitionBoundError,
     SparseModel,
     TermApproximation,
     WeightProfile,

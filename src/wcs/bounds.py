@@ -192,13 +192,13 @@ def largest_singular_value(M) -> float:
     return float(sv[0]) if sv.size else 0.0
 
 
-def smallest_positive_singular_value(M, tol: float | None = None) -> float:
+def smallest_positive_singular_value(M) -> float:
     """Smallest singular value above the rank cutoff."""
     M = as_matrix(M)
     sv = np.linalg.svd(M, compute_uv=False)
     if sv.size == 0:
         raise ValueError("matrix has no singular values")
-    cutoff = tol if tol is not None else max(M.shape) * np.finfo(float).eps * sv[0]
+    cutoff = max(M.shape) * np.finfo(float).eps * sv[0]
     positive = sv[sv > cutoff]
     if positive.size == 0:
         raise ValueError("matrix has no positive singular values above the cutoff")

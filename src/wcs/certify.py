@@ -917,15 +917,15 @@ def exact_recovery_equivalence_test(
     s: float,
     trials: int = 1,
     seed: int = 0,
-    recovery_tol: float = 1e-6,
 ) -> EquivalenceVerdict:
     """Replay the equivalence between the null space property and exact recovery.
 
     When the constant is below one, every maximal admissible support gets
     random plants plus an adversarial sign pattern, each recovered by the
-    equality-constrained solver. Otherwise the witness kernel vector splits
-    into a planted vector and a competitor with no worse objective,
-    exhibiting non-uniqueness directly.
+    equality-constrained solver; the verdict is consistent when every
+    relative recovery error is at most 1e-6. Otherwise the witness kernel
+    vector splits into a planted vector and a competitor with no worse
+    objective, exhibiting non-uniqueness directly.
     """
     A = as_matrix(A)
     n = A.shape[1]
@@ -957,7 +957,7 @@ def exact_recovery_equivalence_test(
         return EquivalenceVerdict(
             gamma=res.gamma,
             nsp_satisfied=True,
-            consistent=max_err <= recovery_tol,
+            consistent=max_err <= 1e-6,
             mode="recovery-sweep",
             supports_tested=count,
             max_recovery_error=max_err,

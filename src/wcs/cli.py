@@ -82,7 +82,7 @@ _SCHEMAS: dict[str, dict[str, set[str]]] = {
         "required": {"kind"},
         "optional": {
             "n", "m", "s", "seed", "exclude_first_row", "with_replacement",
-            "model", "weights", "certify_inner", "base",
+            "model", "weights", "base",
         },
     },
     "experiment": {
@@ -389,7 +389,6 @@ def cmd_construct(cfg: dict[str, Any], out_dir: Path | None, started: float) -> 
     w = _load_weights(cfg, n)
     bundle = build_counterexample(
         w, s, m, n, model, seed=_number(cfg.get("seed", 0), "seed", int),
-        certify_inner=cfg.get("certify_inner", "auto"),
     )
     write_matrix(out / "phi.wcsmat", bundle.phi.matrix, provenance=[f"seed {cfg.get('seed', 0)}"])
     write_matrix(out / "inner.wcsmat", bundle.inner.matrix)

@@ -237,18 +237,18 @@ def build_counterexample(
     model: SparseModel,
     seed: Any = 0,
     inner_base: np.ndarray | None = None,
-    certify_inner: str = "auto",
 ) -> CounterexampleBundle:
     """Build the matrix with a designed null space and its recovery gap data.
 
     The inner matrix is a partial unitary on the reduced dimensions with the
-    all-ones vector in its kernel; when its dimension is inside the
-    enumeration cap (certify_inner="auto" or "exact") it is resampled until
-    its measured null space constant reaches the target (1/3 for the
-    weighted-cardinality case, 1/5 for the cardinality case).
-    inner_certified says whether it did; it is None when the inner matrix
-    was not certified, or is complex, where the measured constant is only a
-    lower bound. Asymptotic premises are recorded as flags, never enforced.
+    all-ones vector in its kernel. When its null space constant can be
+    certified, that is for a real base inside the enumeration cap, it is
+    resampled until the constant reaches the target (1/3 for the
+    weighted-cardinality case, 1/5 for the cardinality case), and
+    inner_certified says whether it did. Otherwise the first sample is kept,
+    and inner_gamma and inner_certified are None: a complex base would only
+    give a lower bound. Asymptotic premises are recorded as flags, never
+    enforced.
     """
     prof = as_weights(w, N)
     if model is SparseModel.WEIGHTED_CARDINALITY:
@@ -281,36 +281,27 @@ def build_counterexample(
         )
     w_inner = prof.w[k:]
 
-    if certify_inner not in ("auto", "exact", "skip"):
-        raise ValueError("certify_inner must be auto, exact, or skip")
-    do_certify = certify_inner == "exact" or (
-        certify_inner == "auto" and n_inner <= enumeration_cap()
-    )
-
+    do_certify = n_inner <= enumeration_cap() and not np.iscomplexobj(base)
     target = _INNER_GAMMA_TARGET[model] + 1e-9
-    inner = None
-    inner_gamma: float | None = None
-    attempts = 0
-    best: tuple[float, SenseMatrix] | None = None
     seed_list = [int(seed)] if np.isscalar(seed) else [int(x) for x in seed]
+    attempts = 0
+    best: tuple[float, SenseMatrix] | None = None  # the smallest constant so far
     for attempt in range(_MAX_RESAMPLES if do_certify else 1):
         attempts += 1
-        candidate = sample_partial_unitary(
+        inner = sample_partial_unitary(
             base, m - k, seed=seed_list + [attempt], exclude_first_row=True
         )
-        if not do_certify:
-            inner = candidate
-            break
-        res = nsp_constant(candidate, w_inner, model, s)
-        if best is None or res.gamma < best[0]:
-            best = (res.gamma, candidate)
-        if res.gamma <= target:
-            inner, inner_gamma = candidate, res.gamma
-            break
-    if inner is None:
+        if do_certify:
+            gamma = nsp_constant(inner, w_inner, model, s).gamma
+            if best is None or gamma < best[0]:
+                best = (gamma, inner)
+            if gamma <= target:
+                break
+    inner_gamma: float | None = None
+    inner_certified: bool | None = None
+    if best is not None:
         inner_gamma, inner = best
-    exact = do_certify and not np.iscomplexobj(inner.matrix)
-    inner_certified = bool(inner_gamma <= target) if exact else None
+        inner_certified = bool(inner_gamma <= target)
 
     M = inner.matrix
     e = np.ones(n_inner, dtype=M.dtype)
@@ -476,13 +467,13 @@ def shrink_to_break_robust_nsp(
     rho: float,
     gamma: float,
     x_witness,
-    safety: float = 0.5,
 ) -> ShrinkResult:
     """Scale a matrix down until the robust null space inequality fails at x.
 
     Needs an admissible support where ||x_S||_2 already exceeds the tail
     term; shrinking only the matrix term then breaks the inequality while
-    the kernel (hence any kernel-sharing property) is untouched.
+    the kernel (hence any kernel-sharing property) is untouched. The factor
+    is half the critical one, at which the inequality turns.
     """
     A = as_matrix(Psi)
     n = A.shape[1]
@@ -513,7 +504,7 @@ def shrink_to_break_robust_nsp(
         raise ConstructionError("witness lies in the kernel; the matrix term is already zero")
 
     factor_critical = best_margin / (gamma * image_norm)
-    factor = safety * factor_critical
+    factor = 0.5 * factor_critical
     scaled = SenseMatrix(
         matrix=factor * A,
         provenance=Provenance(

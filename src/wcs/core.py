@@ -21,7 +21,6 @@ __all__ = [
     "BudgetError",
     "EnumerationCapError",
     "Partition",
-    "PartitionBoundError",
     "SparseModel",
     "TermApproximation",
     "WeightProfile",
@@ -48,10 +47,6 @@ class EnumerationCapError(ValueError):
 
 class BudgetError(ValueError):
     """Raised when a sparsity budget is inconsistent with the weights."""
-
-
-class PartitionBoundError(RuntimeError):
-    """Raised when the greedy partition count exceeds the N*w_max^2/s + 1 bound."""
 
 
 def enumeration_cap() -> int:
@@ -278,7 +273,6 @@ class TermApproximation:
 
     support: tuple[int, ...]
     sigma: float
-    exact: bool
 
 
 def _knapsack_best_support(
@@ -331,14 +325,12 @@ def best_weighted_s_term(
     w,
     model: SparseModel,
     s: float,
-    allow_greedy_fallback: bool = False,
 ) -> TermApproximation:
     """Support maximizing kept weighted l1 mass under the budget, plus the tail.
 
     Cardinality: keep the s largest values of w_i * |x_i| (ties to the lower
-    index). Weighted cardinality: exact knapsack via branch and bound up to
-    the enumeration cap; above it a greedy pass runs only when
-    allow_greedy_fallback is set and the result is tagged approximate.
+    index). Weighted cardinality: exact knapsack via branch and bound, refused
+    above the enumeration cap.
     """
     x = np.asarray(x)
     prof = as_weights(w, x.size)
@@ -346,31 +338,18 @@ def best_weighted_s_term(
     budget, costs = _budget_and_costs(prof, model, s)
     values = prof.w * np.abs(x)
 
-    exact = True
     if model is SparseModel.CARDINALITY:
         k = min(int(budget), n)
         order = np.lexsort((np.arange(n), -values))
         support = tuple(sorted(int(i) for i in order[:k]))
     else:
-        if n > enumeration_cap():
-            if not allow_greedy_fallback:
-                _check_cap(n, "exact weighted s-term selection")
-            exact = False
-            density = np.abs(x) / prof.w  # value/cost = w|x| / w^2
-            support_list: list[int] = []
-            rem = budget
-            for i in sorted(range(n), key=lambda j: (-density[j], j)):
-                if costs[i] <= rem:
-                    support_list.append(i)
-                    rem -= costs[i]
-            support = tuple(sorted(support_list))
-        else:
-            support, _ = _knapsack_best_support(values, costs, budget)
+        _check_cap(n, "exact weighted s-term selection")
+        support, _ = _knapsack_best_support(values, costs, budget)
 
     keep = np.zeros(n, dtype=bool)
     keep[list(support)] = True
     sigma = float(np.sum(values[~keep]))
-    return TermApproximation(support=support, sigma=sigma, exact=exact)
+    return TermApproximation(support=support, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -393,14 +372,12 @@ def build_partition(
     model: SparseModel,
     s: float,
     n: int | None = None,
-    strict_nv_bound: bool = True,
 ) -> Partition:
     """Pack indices left to right into maximal blocks of measure <= s.
 
     For the weighted model the count estimate n * w_max^2 / s + 1 is
-    recorded and checked; the estimate is not valid for every weight/budget
-    combination, so strict_nv_bound=False downgrades a violation from an
-    exception to bound_ok=False.
+    recorded, and bound_ok says whether the count stays within it; the
+    estimate does not hold for every weight/budget combination.
     """
     prof = as_weights(w, n)
     n = len(prof)
@@ -428,11 +405,6 @@ def build_partition(
     if model is SparseModel.WEIGHTED_CARDINALITY:
         nv_bound = n * prof.w_max**2 / budget + 1.0
         bound_ok = len(blocks) <= nv_bound + 1e-12
-        if strict_nv_bound and not bound_ok:
-            raise PartitionBoundError(
-                f"greedy partition produced {len(blocks)} blocks, above the "
-                f"estimate {nv_bound:.6g}; pass strict_nv_bound=False to keep going"
-            )
     return Partition(
         blocks=tuple(blocks), model=model, budget=budget, nv_bound=nv_bound, bound_ok=bound_ok
     )

@@ -174,7 +174,10 @@ def run_error_bound_sweep(config: dict[str, Any]):
             budget_l2=None,
         )
         if not premise:
-            row.update(unchecked, passed=True, vacuous=True, status="vacuous", solver_gap=None)
+            row.update(
+                unchecked, passed=True, vacuous=True, status="vacuous", certified=None,
+                solver_gap=None,
+            )
             return row
 
         consts = recovery_constants_floor_weights(delta, floor)
@@ -199,9 +202,11 @@ def run_error_bound_sweep(config: dict[str, Any]):
                 passed=None,
                 vacuous=False,
                 status="not-converged",
+                certified=False,
                 solver_gap=err.outcome.diagnostics["gap"],
             )
             return row
+        certified = bool(out.diagnostics.get("certified"))
         sigma = best_weighted_s_term(x, w, SparseModel.CARDINALITY, s).sigma
         err_l2 = float(np.linalg.norm(out.x - x))
         err_wl1 = float(np.sum(w * np.abs(out.x - x)))
@@ -221,7 +226,9 @@ def run_error_bound_sweep(config: dict[str, Any]):
             passed=bool(err_l2 <= bound_l2 + 1e-12 and err_wl1 <= bound_wl1 + 1e-12),
             vacuous=False,
             status="converged",
-            solver_gap=out.diagnostics.get("gap"),
+            certified=certified,
+            # a certified point is optimal; the gap of the last iterate says nothing about it
+            solver_gap=None if certified else out.diagnostics.get("gap"),
         )
         return row
 

@@ -21,10 +21,10 @@ certificate proves the result optimal; diagnostics["certified"] says so.
 The certificate is sound on any candidate, so every evaluated point is one,
 a rejected extrapolation included. On real data the polish depends only on
 the support and the signs, and each such pattern is polished once per
-solve. Complex phases move inside a fixed support, so each new support is
-polished once and the current one again every 20 evaluations and when the
-stopping rule is met. Without a certificate the loop ends by its
-fixed-point and objective tolerances, as plain Douglas-Rachford does.
+solve. Complex phases move inside a fixed support, so complex data is
+polished every 20 evaluations and when the stopping rule is met. Without a
+certificate the loop ends by its fixed-point and objective tolerances, as
+plain Douglas-Rachford does.
 Initialization is fixed at zero and the scheme is deterministic. The
 outcome's diagnostics also count polish attempts, rejected extrapolations,
 secular-equation evaluations and root-find fallbacks.
@@ -129,7 +129,7 @@ class _ConstraintProjector:
     NEWTON_STEPS = 8
     RTOL = 1e-14
 
-    def __init__(self, A: np.ndarray, y: np.ndarray, eps: float, feas_tol: float):
+    def __init__(self, A: np.ndarray, y: np.ndarray, eps: float):
         U, sv, Vh = np.linalg.svd(A, full_matrices=False)
         rank_tol = max(A.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
         r = int(np.sum(sv > rank_tol))
@@ -144,7 +144,7 @@ class _ConstraintProjector:
         y_perp = y - self.U @ y_range_coef
         self.y_perp_norm = float(np.linalg.norm(y_perp))
         self.y_range_coef = y_range_coef
-        if self.y_perp_norm > eps + feas_tol * (1.0 + np.linalg.norm(y)):
+        if self.y_perp_norm > eps + DEFAULT_FEAS_TOL * (1.0 + np.linalg.norm(y)):
             raise InfeasibleProblemError(
                 f"no vector reaches the measurements within radius {eps}: "
                 f"the out-of-range residual is {self.y_perp_norm:.3e}"
@@ -314,19 +314,17 @@ def solve_weighted_bpdn(
     w,
     epsilon: float,
     rel_tol: float = DEFAULT_REL_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    raise_on_nonconvergence: bool = True,
-    trace_every: int = 50,
 ) -> SolverOutcome:
     """Minimize ||z||_{w,1} subject to ||Az - y||_2 <= epsilon.
 
     Anderson-accelerated Douglas-Rachford splitting between the weighted
     soft-threshold and the exact constraint projection, with a support
-    polish of every new pattern of an evaluated point that stops the solve
-    once a KKT certificate holds. The proximal scale comes from the
-    measured largest singular value, so the run is fully determined by the
-    inputs. Each iteration is one evaluation of the splitting map.
+    polish of evaluated points that stops the solve once a KKT certificate
+    holds. The proximal scale comes from the measured largest singular
+    value, so the run is fully determined by the inputs. Each iteration is
+    one evaluation of the splitting map. A solve that hits max_iter raises
+    ConvergenceError, which carries the outcome.
     """
     A = as_matrix(A)
     y = np.asarray(y).ravel()
@@ -356,12 +354,12 @@ def solve_weighted_bpdn(
             zero_feasible=True,
         )
 
-    project = _ConstraintProjector(A, y, epsilon, feas_tol)
+    project = _ConstraintProjector(A, y, epsilon)
     mu = 1.0 / project.spectral_norm if project.spectral_norm > 0 else 1.0
     # WeightProfile holds positive finite weights and mu > 0, so the
     # thresholds are valid and the loop can shrink without checking them
     tau = mu * prof.w
-    res_tol = feas_tol * (1.0 + ynorm)
+    res_tol = DEFAULT_FEAS_TOL * (1.0 + ynorm)
 
     anderson = _Anderson(n, dtype)
     point = np.zeros(n, dtype=dtype)  # where the map is evaluated next
@@ -369,23 +367,24 @@ def solve_weighted_bpdn(
     wv = fx = z = v = point  # the current iterate, its residual and its parts
     gap = np.inf
     polished = None
-    tried: set[bytes] = set()  # the patterns already polished
+    tried: set[bytes] = set()  # the real sign patterns already polished
     polish_attempts = rejects = 0
 
-    def attempt(cand: np.ndarray, again: bool = False) -> np.ndarray | None:
-        """Polish cand unless its pattern was tried and again is False."""
+    def attempt(cand: np.ndarray) -> np.ndarray | None:
+        """Polish cand if it is due: a new sign pattern on real data, and on
+        complex data every _POLISH_EVERY evaluations and at the stopping rule."""
         nonlocal polish_attempts
-        # on real data the polish depends only on the support and the signs;
-        # complex phases move inside a support, so only the support is kept
-        pattern = (cand != 0) if complex_data else np.sign(cand).astype(np.int8)
-        key = pattern.tobytes()
-        if key in tried and not again:
-            return None
-        tried.add(key)
+        if complex_data:
+            if not (converged or it % _POLISH_EVERY == 0):
+                return None
+        else:
+            key = np.sign(cand).astype(np.int8).tobytes()
+            if key in tried:
+                return None
+            tried.add(key)
         polish_attempts += 1
         return _polish(A, y, prof.w, epsilon, cand, res_tol)
 
-    obj_trace: list[float] = []
     prev_obj = np.inf
     converged = False
     it = 0
@@ -403,8 +402,6 @@ def solve_weighted_bpdn(
                 anderson.push(point - wv, f - fx)
             wv, fx, z, v, gap = point, f, z_new, v_new, gap_new
             obj = _objective(v, prof.w)
-            if it % trace_every == 0 or it == 1:
-                obj_trace.append(obj)
             scale = 1.0 + _norm(z)
             converged = gap <= inner_tol * scale and abs(obj - prev_obj) <= inner_tol * (1.0 + obj)
             prev_obj = obj
@@ -413,9 +410,8 @@ def solve_weighted_bpdn(
             rejects += 1
             anderson.clear()
         # the certificate is sound on any point, so every evaluated one is a
-        # candidate, a rejected extrapolation included; a known complex support
-        # is polished again on the cadence and at the stopping rule
-        polished = attempt(z_new, complex_data and (converged or it % _POLISH_EVERY == 0))
+        # candidate, a rejected extrapolation included
+        polished = attempt(z_new)
         if polished is not None:
             converged = True
             # an entry at rounding level took its sign from rounding; without
@@ -441,8 +437,6 @@ def solve_weighted_bpdn(
         if res_z <= epsilon + res_tol:
             candidates.append((z, _objective(z, prof.w), res_z))
         x, objective, residual = min(candidates, key=lambda c: c[1])
-    if not obj_trace or obj_trace[-1] != objective:
-        obj_trace.append(objective)
 
     outcome = SolverOutcome(
         x=x,
@@ -453,7 +447,6 @@ def solve_weighted_bpdn(
         epsilon=epsilon,
         feasibility_gap=max(residual - epsilon, 0.0),
         diagnostics={
-            "objective_trace": obj_trace,
             "prox_scale": mu,
             "gap": gap,
             "certified": polished is not None,
@@ -463,7 +456,7 @@ def solve_weighted_bpdn(
             "rootfind_fallbacks": project.fallbacks,
         },
     )
-    if not converged and raise_on_nonconvergence:
+    if not converged:
         raise ConvergenceError(
             f"no convergence after {max_iter} iterations "
             f"(gap {gap:.3e}, residual {residual:.6e} for radius {epsilon:.6e})",
@@ -477,9 +470,7 @@ def solve_weighted_bp(
     y,
     w,
     rel_tol: float = DEFAULT_REL_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    raise_on_nonconvergence: bool = True,
 ) -> SolverOutcome:
     """Minimize ||z||_{w,1} subject to Az = y (noise radius zero)."""
     A = as_matrix(A)
@@ -493,7 +484,5 @@ def solve_weighted_bp(
         w,
         epsilon=0.0,
         rel_tol=rel_tol,
-        feas_tol=feas_tol,
         max_iter=max_iter,
-        raise_on_nonconvergence=raise_on_nonconvergence,
     )

@@ -88,9 +88,7 @@ def test_acceptance_recovery_equivalence_sweep():
             model = WCARD
             w = r.uniform(1.0, 1.15, n)
             s = float(r.choice([2.7, 3.0]))
-        verdict = exact_recovery_equivalence_test(
-            A, w, model, s, trials=1, seed=trial, recovery_tol=1e-6
-        )
+        verdict = exact_recovery_equivalence_test(A, w, model, s, trials=1, seed=trial)
         total += 1
         assert verdict.consistent, (
             f"trial {trial}: verdict disagreed (gamma={verdict.gamma}, mode={verdict.mode})"

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, determinism, file outputs."""
 
+import csv
 import json
 
 import numpy as np
@@ -322,6 +323,21 @@ def test_construct_counterexample_manifest(tmp_path, capsys):
         assert (out_dir / f"{name}.wcsvec").exists()
 
 
+def test_construct_rejects_certify_inner_key(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "x.json",
+        {
+            "kind": "counterexample", "n": 64, "m": 20, "s": 4,
+            "weights": {"kind": "uniform"}, "certify_inner": "skip",
+        },
+    )
+    code, out, err = _run(capsys, ["construct", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: unknown config keys for construct: ['certify_inner']")
+
+
 def test_construct_degenerate_dimensions_exit_one(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -542,6 +558,13 @@ def test_experiment_error_bounds_sweep(tmp_path, capsys):
     assert summary["premise_true"] >= 1
     header = (tmp_path / "o" / "error-bounds.csv").read_text().splitlines()[0]
     assert "bound_l2" in header and "premise_holds" in header
+    assert header.endswith(",status,certified,solver_gap")
+    with open(tmp_path / "o" / "error-bounds.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    certified = [r for r in rows if r["certified"] == "True"]
+    assert certified
+    # a certified solve is optimal, so the last iterate's gap is not reported
+    assert all(r["solver_gap"] == "" for r in certified)
 
 
 def test_experiment_error_bounds_records_nonconverged_trials(tmp_path, capsys, monkeypatch):

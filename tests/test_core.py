@@ -11,7 +11,6 @@ from wcs.certify import nsp_constant, rip_constant
 from wcs.core import (
     BudgetError,
     EnumerationCapError,
-    PartitionBoundError,
     SparseModel,
     WeightProfile,
     _maximal_supports_depth_first,
@@ -273,7 +272,6 @@ def test_best_term_cardinality_top_two():
     res = best_weighted_s_term(np.array([3.0, 2.0, 1.0]), np.ones(3), CARD, 2)
     assert res.support == (0, 1)
     assert res.sigma == pytest.approx(1.0)
-    assert res.exact
 
 
 def test_best_term_weighted_knapsack_example():
@@ -317,16 +315,13 @@ def test_best_term_knapsack_matches_exhaustive():
         assert res.sigma == pytest.approx(expect_sigma, abs=1e-10)
 
 
-def test_best_term_cap_and_greedy_fallback():
+def test_best_term_refuses_weighted_selection_above_cap():
     n = 26
     rng = np.random.default_rng(0)
     x = rng.standard_normal(n)
     w = rng.uniform(1.0, 2.0, n)
     with pytest.raises(EnumerationCapError):
         best_weighted_s_term(x, w, WCARD, 5.0)
-    res = best_weighted_s_term(x, w, WCARD, 5.0, allow_greedy_fallback=True)
-    assert not res.exact
-    assert sparse_measure(res.support, w, WCARD) <= 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +352,9 @@ def test_partition_rejects_oversized_index():
         build_partition(np.array([1.0, 3.0]), WCARD, 4.0)
 
 
-def test_partition_bound_violation_raises_then_downgrades():
+def test_partition_bound_violation_is_recorded():
     w = np.full(10, 2.0)
-    with pytest.raises(PartitionBoundError):
-        build_partition(w, WCARD, 11.0)
-    p = build_partition(w, WCARD, 11.0, strict_nv_bound=False)
+    p = build_partition(w, WCARD, 11.0)
     assert p.n_blocks == 5
     assert p.bound_ok is False
 
@@ -392,7 +385,7 @@ def test_partition_blocks_are_maximal():
         n = int(rng.integers(3, 15))
         w = rng.uniform(0.5, 1.5, n)
         s = float(rng.uniform(2.25, 8.0))
-        p = build_partition(w, WCARD, s, strict_nv_bound=False)
+        p = build_partition(w, WCARD, s)
         flat = [i for b in p.blocks for i in b]
         assert flat == list(range(n))
         for j, b in enumerate(p.blocks):

@@ -12,6 +12,7 @@ from wcs.certify import nsp_constant
 from wcs.construct import sample_partial_unitary, unitary_with_flat_first_row
 from wcs.core import SparseModel
 from wcs.solver import (
+    ConvergenceError,
     InfeasibleProblemError,
     complex_soft_threshold,
     solve_weighted_bp,
@@ -215,29 +216,12 @@ def test_bpdn_residual_within_budget():
     assert out.feasibility_gap <= 1e-9
 
 
-def test_bpdn_objective_trace_settles():
-    rng = np.random.default_rng(14)
-    A = rng.standard_normal((5, 10))
-    x = np.zeros(10)
-    x[[0, 4]] = [2.0, -1.0]
-    y = A @ x
-    # a sample every iteration: the solve stops at its first certified polish
-    out = solve_weighted_bpdn(A, y, np.ones(10), epsilon=1e-3, trace_every=1)
-    trace = out.diagnostics["objective_trace"]
-    assert trace[-1] == out.objective
-    assert trace[-1] <= trace[0] + 1e-9
-    tail = trace[-3:]
-    assert max(tail) - min(tail) <= 1e-3 * (1.0 + tail[-1])
-
-
 def test_bpdn_negative_epsilon_rejected():
     with pytest.raises(ValueError):
         solve_weighted_bpdn(np.eye(2), np.ones(2), np.ones(2), epsilon=-0.1)
 
 
 def test_nonconvergence_raises_with_outcome_attached():
-    from wcs.solver import ConvergenceError
-
     rng = np.random.default_rng(15)
     A = rng.standard_normal((4, 9))
     y = A @ np.where(np.arange(9) < 2, 1.0, 0.0)
@@ -246,8 +230,6 @@ def test_nonconvergence_raises_with_outcome_attached():
     assert err.value.outcome.iterations == 3
     assert "residual" in str(err.value)
     assert not err.value.outcome.converged
-    out = solve_weighted_bp(A, y, np.ones(9), max_iter=3, raise_on_nonconvergence=False)
-    assert not out.converged
 
 
 def test_bpdn_complex_instance():
@@ -343,7 +325,7 @@ def projection_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_projection_multiplier_matches_bisection(case):
     A, y, eps, x, inside, warm = case
-    proj = wcs.solver._ConstraintProjector(A, y, eps, feas_tol=1e-9)
+    proj = wcs.solver._ConstraintProjector(A, y, eps)
     b = proj.sv * (proj.Vh @ x) - proj.y_range_coef
     b2 = np.abs(b) ** 2
     lam_ref = _bisection_multiplier(b2, proj.s2, proj.eps_eff)
@@ -516,14 +498,16 @@ def polish_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_certified_outcomes_pass_kkt_and_match_oracles(case):
     A, y, w, eps, unitary, _ = case
-    out = solve_weighted_bpdn(A, y, w, eps, max_iter=20_000, raise_on_nonconvergence=False)
+    try:
+        out = solve_weighted_bpdn(A, y, w, eps, max_iter=20_000)
+    except ConvergenceError as err:
+        out = err.outcome
     assume(out.diagnostics.get("certified"))
     residual, stationarity, gap = _dual_gap(A, y, w, eps, out.x)
     assert residual <= eps + 1e-9 * (1.0 + np.linalg.norm(y))
     # the polish matches phases to 1e-5; their error enters the gap squared
     assert stationarity <= 2e-5
     assert gap <= 1e-8
-    assert out.diagnostics["objective_trace"][-1] == out.objective
     if eps == 0 and not np.iscomplexobj(A):
         oracle, _ = _lp_bp_oracle(A, y, w)
     elif unitary:
@@ -589,11 +573,12 @@ def test_real_polish_tries_each_sign_pattern_once(monkeypatch):
 
 
 def test_complex_repolish_cadence_counts_rejected_evaluations():
-    # 600 evaluations with 91 rejected extrapolations
+    # 600 evaluations with 91 rejected extrapolations; complex data is polished
+    # on the cadence and at the stopping rule only, not at every new support
     A, y, w = _seeded_problem(116, True, 1e-3)
     out = solve_weighted_bpdn(A, y, w, 1e-3)
     assert out.diagnostics["anderson_rejects"] > 0
-    assert out.diagnostics["polish_attempts"] >= out.iterations // 20
+    assert out.iterations // 20 <= out.diagnostics["polish_attempts"] <= out.iterations // 20 + 2
 
 
 @given(
